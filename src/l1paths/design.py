@@ -25,7 +25,9 @@ class Dataset:
     feature_names: list[str] | None = None
 
     def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
+        # C order, so that the column sums in ``standardize`` (and with them
+        # the path) do not depend on how X was built, e.g. read from CSV.
+        self.X = np.ascontiguousarray(np.atleast_2d(self.X), dtype=float)
         self.y = np.asarray(self.y, dtype=float).ravel()
         if self.X.shape[0] != self.y.shape[0]:
             raise DataError(

@@ -39,15 +39,19 @@ from .path import (
     EVENT_STOP_NORM,
     PathEvent,
     PiecewiseLinearPath,
+    _PathRecorder,
 )
 
 MODES = ("lar", "lasso", "fs0")
+
+# Relative band within which two correlations count as tied.
+TIE_TOLERANCE = 1e-9
 
 
 @dataclass
 class SolverConfig:
     mode: str = "lasso"
-    tie_tolerance: float = 1e-9        # relative band for correlation ties
+    tie_tolerance: float = TIE_TOLERANCE
     max_steps: int | None = None       # None: 16 p + 64
     stop_l1_norm: float | None = None
     stop_lambda: float | None = None
@@ -85,8 +89,28 @@ def _tied_set(c: np.ndarray, C: float, tie_tolerance: float) -> np.ndarray:
     return np.flatnonzero(c >= C - tie_tolerance * abs(C))
 
 
+def _unit_direction(p2: int, active, theta: np.ndarray) -> MoveDirection:
+    """Scale a raw direction on the active columns to unit coefficient sum."""
+    total = float(theta.sum())
+    if total <= 0.0:
+        raise InternalConsistencyError("positive correlation but the move has no mass")
+    rho = np.zeros(p2)
+    rho[active] = theta / total
+    return MoveDirection(rho, tuple(int(a) for a in active if rho[a] != 0.0))
+
+
+def _nnls_direction(design, active, target, weights=None, warm=None) -> MoveDirection:
+    """Unit-mass (weighted) non-negative least-squares move on the active columns."""
+    Xa = design.columns(active)
+    if weights is not None:
+        sw = np.sqrt(weights)
+        Xa = sw[:, None] * Xa
+        target = sw * target
+    return _unit_direction(design.p2, active, solve_nnls(Xa, target, initial_support=warm))
+
+
 def lasso_move_direction(
-    design, beta: np.ndarray, tie_tolerance: float = 1e-9, zero_tolerance: float = 1e-12
+    design, beta: np.ndarray, tie_tolerance: float = TIE_TOLERANCE, zero_tolerance: float = 1e-12
 ) -> MoveDirection:
     """Instantaneous lasso move from an arbitrary mirrored point.
 
@@ -98,23 +122,20 @@ def lasso_move_direction(
     r = design.base.y_centered - design.predict(np.asarray(beta, dtype=float))
     c = design.correlations(r)
     C = float(c.max())
-    rho = np.zeros(design.p2)
     if C <= zero_tolerance:
-        return MoveDirection(rho, ())
+        return MoveDirection(np.zeros(design.p2), ())
     active = _tied_set(c, C, tie_tolerance)
-    Xa = design.columns(active)
     try:
-        theta = CholeskyFactor.from_gram(Xa.T @ Xa).solve_gram(c[active])
+        factor = _factor_active(design, active)
     except DegenerateDesignError:
         raise DegenerateDesignError(
             message="active set is collinear; cannot form a move direction"
         ) from None
-    rho[active] = theta / theta.sum()
-    return MoveDirection(rho, tuple(int(a) for a in active if rho[a] != 0.0))
+    return _unit_direction(design.p2, active, factor.solve_gram(c[active]))
 
 
 def monotone_move_direction(
-    design, beta: np.ndarray, tie_tolerance: float = 1e-9, zero_tolerance: float = 1e-12
+    design, beta: np.ndarray, tie_tolerance: float = TIE_TOLERANCE, zero_tolerance: float = 1e-12
 ) -> MoveDirection:
     """Instantaneous monotone move: non-negative least squares on the tied set.
 
@@ -125,18 +146,9 @@ def monotone_move_direction(
     r = design.base.y_centered - design.predict(np.asarray(beta, dtype=float))
     c = design.correlations(r)
     C = float(c.max())
-    rho = np.zeros(design.p2)
     if C <= zero_tolerance:
-        return MoveDirection(rho, ())
-    active = _tied_set(c, C, tie_tolerance)
-    theta = solve_nnls(design.columns(active), r)
-    total = theta.sum()
-    if total <= 0.0:
-        raise InternalConsistencyError(
-            "positive correlation but a zero constrained direction"
-        )
-    rho[active] = theta / total
-    return MoveDirection(rho, tuple(int(a) for a in active if rho[a] > 0.0))
+        return MoveDirection(np.zeros(design.p2), ())
+    return _nnls_direction(design, _tied_set(c, C, tie_tolerance), r)
 
 
 def _scan_events(design, beta, c, C, rho, support, members, mode, stop_state, tie_tolerance):
@@ -219,9 +231,10 @@ def next_event(design, beta, direction: MoveDirection, mode: str = "lasso") -> P
     c = design.correlations(r)
     C = float(c.max())
     members = np.zeros(design.p2, dtype=bool)
-    members[_tied_set(c, C, 1e-9)] = True
+    members[_tied_set(c, C, TIE_TOLERANCE)] = True
     gamma, kind, indices, _, _, _ = _scan_events(
-        design, beta, c, C, direction.rho, direction.support, members, mode, None, 1e-9
+        design, beta, c, C, direction.rho, direction.support, members, mode, None,
+        TIE_TOLERANCE,
     )
     index = indices[0] if indices else None
     return PathEvent(kind=kind, index=index, gamma=gamma, ell=gamma)
@@ -254,64 +267,36 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     C = float(c.max())
     floor = cfg.correlation_floor if cfg.correlation_floor is not None else 1e-10 * max(C, 1e-300)
 
-    names = design.base.feature_names
-    parametrization = "l1_arc_length" if mode == "fs0" else "l1_norm"
-    vertices = [beta.copy()]
-    breakpoints = [0.0]
-    seg_sets: list[tuple[int, ...]] = []
-    events: list[PathEvent] = []
-
-    def build(truncated=False):
-        return PiecewiseLinearPath(
-            breakpoints=np.array(breakpoints),
-            vertices=np.array(vertices),
-            segment_active_sets=seg_sets,
-            parametrization=parametrization,
-            events=events,
-            feature_names=list(names) if names else None,
-            truncated=truncated,
-        )
+    rec = _PathRecorder(
+        beta, "l1_arc_length" if mode == "fs0" else "l1_norm", design.base.feature_names
+    )
 
     if C <= floor or np.linalg.norm(r) <= cfg.residual_floor * y_norm:
-        return build()
+        return rec.build()
     if cfg.stop_l1_norm is not None and cfg.stop_l1_norm <= 0:
-        return build()
+        return rec.build()
 
     members = np.zeros(p2, dtype=bool)
     barred = np.zeros(p2, dtype=bool)  # columns collinear with the active set
     active: list[int] = [int(a) for a in _tied_set(c, C, cfg.tie_tolerance)]
     members[active] = True
-    factor = CholeskyFactor.empty()
-    if mode != "fs0":
-        for a in active:
-            factor = _append_factor(design, factor, active[: factor.size], a)
+    factor = CholeskyFactor.empty() if mode == "fs0" else _factor_active(design, active)
     max_steps = cfg.max_steps if cfg.max_steps is not None else 16 * p2 + 64
     instant_drops = 0
     prev_support: tuple[int, ...] = ()
 
     for _ in range(max_steps):
         if cfg.stop_l1_norm is not None and ell >= cfg.stop_l1_norm:
-            return build()
+            return rec.build()
         if cfg.stop_lambda is not None and C <= cfg.stop_lambda:
-            return build()
+            return rec.build()
         # Direction on the current active set.
         if mode == "fs0":
-            Xa = design.columns(active)
             warm = [active.index(a) for a in prev_support if a in active]
-            theta = solve_nnls(Xa, r, initial_support=warm)
+            direction = _nnls_direction(design, active, r, warm=warm)
         else:
-            theta = factor.solve_gram(c[active])
-        total = float(theta.sum())
-        if total <= 0.0:
-            raise InternalConsistencyError(
-                "active correlations positive but the move has no mass"
-            )
-        rho = np.zeros(p2)
-        rho[active] = theta / total
-        if mode == "fs0":
-            support = tuple(a for a, t in zip(active, theta) if t > 0.0)
-        else:
-            support = tuple(a for a in active if rho[a] != 0.0)
+            direction = _unit_direction(p2, active, factor.solve_gram(c[active]))
+        rho, support = direction.rho, direction.support
 
         gamma, kind, indices, v, d, Delta = _scan_events(
             design, beta, c, C, rho, support, members | barred, mode,
@@ -347,22 +332,19 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
             )
         C = C_new
 
-        vertices.append(beta.copy())
-        breakpoints.append(ell)
-        seg_sets.append(support)
-        events.append(PathEvent(kind=kind, index=index, gamma=gamma, ell=ell))
+        rec.append(ell, beta, support, PathEvent(kind=kind, index=index, gamma=gamma, ell=ell))
         prev_support = support
 
         if kind in (EVENT_FULL_LS, EVENT_STOP_NORM, EVENT_STOP_LAMBDA):
-            return build()
+            return rec.build()
 
         # Membership updates for the next segment. In monotone mode a
         # coordinate that carried no mass decays faster than the tied
         # maximum and falls out of contention.
         if mode == "fs0":
             keep = []
-            for pos, a in enumerate(active):
-                if theta[pos] == 0.0 and d[a] > Delta * (1.0 + 1e-12):
+            for a in active:
+                if rho[a] == 0.0 and d[a] > Delta * (1.0 + 1e-12):
                     members[a] = False
                 else:
                     keep.append(a)
@@ -389,11 +371,19 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
                 members[j] = True
 
         if C <= floor or np.linalg.norm(r) <= cfg.residual_floor * y_norm:
-            return build()
+            return rec.build()
 
     raise StepBudgetError(
-        f"path did not terminate within {max_steps} steps", path=build(truncated=True)
+        f"path did not terminate within {max_steps} steps", path=rec.build(truncated=True)
     )
+
+
+def _factor_active(design, active):
+    """Cholesky factor of the Gram of the active columns, appended in order."""
+    factor = CholeskyFactor.empty()
+    for a in active:
+        factor = _append_factor(design, factor, active[: factor.size], a)
+    return factor
 
 
 def _append_factor(design, factor, current, new_index):

@@ -123,16 +123,14 @@ def solve_least_squares(A: np.ndarray, b: np.ndarray, column_names=None) -> np.n
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    gram = A.T @ A
-    factor = CholeskyFactor.empty()
-    for j in range(A.shape[1]):
-        try:
-            factor = factor.append_column(gram[: j + 1, j])
-        except DegenerateDesignError:
-            label = column_names[j] if column_names is not None else f"column {j}"
-            raise DegenerateDesignError(
-                column=j, message=f"least squares design is rank deficient at {label}"
-            ) from None
+    try:
+        factor = CholeskyFactor.from_gram(A.T @ A)
+    except DegenerateDesignError as exc:
+        j = exc.column
+        label = column_names[j] if column_names is not None else f"column {j}"
+        raise DegenerateDesignError(
+            column=j, message=f"least squares design is rank deficient at {label}"
+        ) from None
     return factor.solve_gram(A.T @ b)
 
 

@@ -72,8 +72,7 @@ def check_condition(design: StandardizedDesign, subset: SignedSubset) -> Conditi
         raise DegenerateDesignError(
             message=f"columns {subset.indices} have a singular Gram matrix"
         ) from None
-    s = np.asarray(subset.signs, dtype=float)
-    v = s * np.linalg.solve(gram, s)
+    v = _subset_vectors(np.linalg.inv(gram), np.asarray(subset.signs, dtype=float))
     return ConditionReport(subset=subset, vector=v, passed=bool(v.min() >= _MIN_ENTRY))
 
 
@@ -139,31 +138,25 @@ def exhaustive_check(
 
     if workers <= 1 or len(subsets) < 64:
         hit = _scan_chunk(gram, subsets)
-        if hit is None:
-            return SearchReport(passed=True, violation=None, vector=None, checked=total)
-        pos, signs, vec = hit
-        sub = SignedSubset(indices=subsets[pos], signs=signs)
-        return SearchReport(passed=False, violation=sub, vector=vec, checked=total)
-
-    chunks = np.array_split(np.arange(len(subsets)), workers * 4)
-    first: tuple[int, tuple[int, ...], np.ndarray] | None = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = []
-        for chunk in chunks:
-            if chunk.size == 0:
-                continue
-            part = [subsets[i] for i in chunk]
-            futures.append((int(chunk[0]), pool.submit(_scan_chunk, gram, part)))
-        for offset, fut in futures:
-            hit = fut.result()
-            if hit is not None:
-                pos, signs, vec = hit
-                cand = (offset + pos, signs, vec)
-                if first is None or cand[0] < first[0]:
-                    first = cand
-    if first is None:
+    else:
+        hit = None
+        chunks = np.array_split(np.arange(len(subsets)), workers * 4)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = []
+            for chunk in chunks:
+                if chunk.size == 0:
+                    continue
+                part = [subsets[i] for i in chunk]
+                futures.append((int(chunk[0]), pool.submit(_scan_chunk, gram, part)))
+            for offset, fut in futures:
+                found = fut.result()
+                if found is not None:
+                    pos, signs, vec = found
+                    if hit is None or offset + pos < hit[0]:
+                        hit = (offset + pos, signs, vec)
+    if hit is None:
         return SearchReport(passed=True, violation=None, vector=None, checked=total)
-    pos, signs, vec = first
+    pos, signs, vec = hit
     sub = SignedSubset(indices=subsets[pos], signs=signs)
     return SearchReport(passed=False, violation=sub, vector=vec, checked=total)
 

@@ -112,6 +112,53 @@ class PiecewiseLinearPath:
         return float(prefix[seg] + frac * (prefix[seg + 1] - prefix[seg]))
 
 
+class _PathRecorder:
+    """Collects a path's vertices, breakpoints, segment active sets and events.
+
+    The exact engine ``append``s every segment; the stepping solvers
+    ``advance``, which skips a vertex at the parameter already recorded.
+    With ``step`` set, parameters are step counts and the breakpoints are
+    count times step.
+    """
+
+    def __init__(self, beta, parametrization: str, feature_names=None, step=None):
+        self.params = [0]
+        self.vertices = [np.array(beta, dtype=float)]
+        self.active_sets: list[tuple[int, ...]] = []
+        self.events: list[PathEvent] = []
+        self.parametrization = parametrization
+        self.feature_names = list(feature_names) if feature_names else None
+        self.step = step
+
+    def append(self, param, beta, active_set=(), event: PathEvent | None = None):
+        self.params.append(param)
+        self.vertices.append(np.array(beta, dtype=float))
+        self.active_sets.append(active_set)
+        if event is not None:
+            self.events.append(event)
+
+    def advance(self, param, beta):
+        if param > self.params[-1]:
+            self.append(param, beta)
+
+    def build(self, truncated: bool = False, to_expanded=None) -> PiecewiseLinearPath:
+        breakpoints = np.array(self.params, dtype=float)
+        if self.step is not None:
+            breakpoints = breakpoints * self.step
+        vertices = np.array(self.vertices)
+        if to_expanded is not None:
+            vertices = to_expanded(vertices)
+        return PiecewiseLinearPath(
+            breakpoints=breakpoints,
+            vertices=vertices,
+            segment_active_sets=self.active_sets,
+            parametrization=self.parametrization,
+            events=self.events,
+            feature_names=self.feature_names,
+            truncated=truncated,
+        )
+
+
 def collapse(beta: np.ndarray) -> np.ndarray:
     """Signed original-space coefficients from a mirrored vector."""
     beta = np.asarray(beta, dtype=float)

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import StandardizedDesign
-from .errors import ConfigError, CurvatureError, InternalConsistencyError, StepSizeError
-from .lars import MoveDirection, _as_expanded
-from .linalg import solve_nnls
+from .errors import ConfigError, CurvatureError, StepSizeError
+from .lars import TIE_TOLERANCE, MoveDirection, _as_expanded, _nnls_direction, _tied_set
 from .losses import LossModel
-from .path import PiecewiseLinearPath, expand
+from .path import _PathRecorder, expand
 
 
 @dataclass
@@ -42,38 +41,6 @@ class StagewiseConfig:
             raise ConfigError("record_stride must be at least 1")
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be non-negative")
-
-
-class _PathRecorder:
-    """Collects vertices at a stride, at direction changes, and at the end."""
-
-    def __init__(self, epsilon: float, stride: int):
-        self.eps = epsilon
-        self.stride = stride
-        self.counts: list[int] = [0]
-        self.vertices: list[np.ndarray] = []
-
-    def start(self, beta):
-        self.vertices.append(np.asarray(beta, dtype=float).copy())
-
-    def record(self, m: int, beta):
-        if m > self.counts[-1]:
-            self.counts.append(m)
-            self.vertices.append(np.asarray(beta, dtype=float).copy())
-
-    def build(self, feature_names, truncated: bool, to_expanded=None) -> PiecewiseLinearPath:
-        verts = np.array(self.vertices)
-        if to_expanded is not None:
-            verts = to_expanded(verts)
-        return PiecewiseLinearPath(
-            breakpoints=np.array(self.counts, dtype=float) * self.eps,
-            vertices=verts,
-            segment_active_sets=[()] * (len(self.counts) - 1),
-            parametrization="l1_arc_length",
-            events=[],
-            feature_names=feature_names,
-            truncated=truncated,
-        )
 
 
 def _stop_tolerance(config: StagewiseConfig, y: np.ndarray) -> float:
@@ -107,8 +74,7 @@ def fs_epsilon(
     tol = _stop_tolerance(config, y)
 
     beta = np.zeros(p)
-    rec = _PathRecorder(config.epsilon, config.record_stride)
-    rec.start(np.zeros(p))
+    rec = _PathRecorder(beta, "l1_arc_length", design.feature_names, step=config.epsilon)
     steps: list[int] = []
     prev_choice = -1
     truncated = False
@@ -130,7 +96,7 @@ def fs_epsilon(
             sign = -1.0
             choice = p + j
         if choice != prev_choice and m > 0:
-            rec.record(m, beta)
+            rec.advance(m, beta)
         prev_choice = choice
         delta = sign * config.epsilon
         beta[j] += delta
@@ -138,13 +104,9 @@ def fs_epsilon(
         steps.append(choice)
         m += 1
         if m % config.record_stride == 0:
-            rec.record(m, beta)
-    rec.record(m, beta)
-    path = rec.build(
-        list(design.feature_names) if design.feature_names else None,
-        truncated,
-        to_expanded=expand,
-    )
+            rec.advance(m, beta)
+    rec.advance(m, beta)
+    path = rec.build(truncated, to_expanded=expand)
     if truncated:
         warnings.warn("stagewise iteration budget exhausted; path is partial")
     if return_steps:
@@ -176,8 +138,7 @@ def monotone_incremental(
     p = design.p
     y = design.base.y_centered
     beta = np.zeros(design.p2)
-    rec = _PathRecorder(config.epsilon, config.record_stride)
-    rec.start(beta)
+    rec = _PathRecorder(beta, "l1_arc_length", design.base.feature_names, step=config.epsilon)
     steps: list[int] = []
     prev_choice = -1
     truncated = False
@@ -197,7 +158,7 @@ def monotone_incremental(
                 break
             a = int(np.argmax(c))
             if a != prev_choice and m > 0:
-                rec.record(m, beta)
+                rec.advance(m, beta)
             prev_choice = a
             j = a % p
             upd = config.epsilon * gram[:, j]
@@ -211,7 +172,7 @@ def monotone_incremental(
             steps.append(a)
             m += 1
             if m % config.record_stride == 0:
-                rec.record(m, beta)
+                rec.advance(m, beta)
     else:
         loss.validate_response(y)
         eta = np.zeros(design.n)
@@ -227,18 +188,16 @@ def monotone_incremental(
                 break
             a = int(np.argmax(g))
             if a != prev_choice and m > 0:
-                rec.record(m, beta)
+                rec.advance(m, beta)
             prev_choice = a
             eta = eta + config.epsilon * design.column(a)
             beta[a] += config.epsilon
             steps.append(a)
             m += 1
             if m % config.record_stride == 0:
-                rec.record(m, beta)
-    rec.record(m, beta)
-    path = rec.build(
-        list(design.base.feature_names) if design.base.feature_names else None, truncated
-    )
+                rec.advance(m, beta)
+    rec.advance(m, beta)
+    path = rec.build(truncated)
     if truncated:
         warnings.warn("stagewise iteration budget exhausted; path is partial")
     if return_steps:
@@ -250,7 +209,7 @@ def glm_move_direction(
     design,
     beta: np.ndarray,
     loss: LossModel,
-    tie_tolerance: float = 1e-9,
+    tie_tolerance: float = TIE_TOLERANCE,
     zero_tolerance: float = 1e-12,
 ) -> MoveDirection:
     """Loss-aware monotone move direction at a mirrored point.
@@ -273,25 +232,14 @@ def glm_move_direction(
     u = loss.first(y, eta)
     g = design.correlations(-u)  # negative gradient per mirrored column
     C = float(g.max())
-    rho = np.zeros(design.p2)
     if C <= zero_tolerance:
-        return MoveDirection(rho, ())
+        return MoveDirection(np.zeros(design.p2), ())
     w = loss.second(y, eta)
     if np.any(w <= 1e-12):
         raise CurvatureError(
             "second-derivative weights collapsed to zero; reduce the step size"
         )
-    active = np.flatnonzero(g >= C - tie_tolerance * abs(C))
-    sw = np.sqrt(w)
-    target = -u / w
-    delta = solve_nnls(sw[:, None] * design.columns(active), sw * target)
-    total = delta.sum()
-    if total <= 0.0:
-        raise InternalConsistencyError(
-            "positive negative-gradient but a zero weighted direction"
-        )
-    rho[active] = delta / total
-    return MoveDirection(rho, tuple(int(a) for a in active if rho[a] > 0.0))
+    return _nnls_direction(design, _tied_set(g, C, tie_tolerance), -u / w, weights=w)
 
 
 @dataclass
@@ -302,7 +250,7 @@ class StepControl:
     arc_budget: float | None = None
     max_steps: int = 200_000
     gradient_tolerance: float | None = None  # None: 1e-8 x ||response||_2
-    tie_tolerance: float = 1e-9
+    tie_tolerance: float = TIE_TOLERANCE
     loss_increase_slack: float = 1e-12
     min_step_factor: float = 2.0**-20
     record_stride: int = 100
@@ -340,17 +288,11 @@ def integrate_monotone_path(design, loss: LossModel, control: StepControl | None
     beta = np.zeros(design.p2)
     eta = np.zeros(design.n)
     current = loss.total(y, eta)
-    ells = [0.0]
-    verts = [beta.copy()]
+    rec = _PathRecorder(beta, "l1_arc_length", design.base.feature_names)
     ell = 0.0
     prev_support: tuple[int, ...] = ()
     truncated = False
     accepted = 0
-
-    def record():
-        if ell > ells[-1]:
-            ells.append(ell)
-            verts.append(beta.copy())
 
     while True:
         if accepted >= control.max_steps:
@@ -374,7 +316,7 @@ def integrate_monotone_path(design, loss: LossModel, control: StepControl | None
                     "loss increases even at the floor step size; integration aborted"
                 )
         if direction.support != prev_support:
-            record()
+            rec.advance(ell, beta)
             prev_support = direction.support
         beta = beta + h * direction.rho
         eta = eta_trial
@@ -382,21 +324,11 @@ def integrate_monotone_path(design, loss: LossModel, control: StepControl | None
         ell += h
         accepted += 1
         if accepted % control.record_stride == 0:
-            record()
+            rec.advance(ell, beta)
         if control.arc_budget is not None and ell >= control.arc_budget:
             break
-    record()
-    path = PiecewiseLinearPath(
-        breakpoints=np.array(ells),
-        vertices=np.array(verts),
-        segment_active_sets=[()] * (len(ells) - 1),
-        parametrization="l1_arc_length",
-        events=[],
-        feature_names=(
-            list(design.base.feature_names) if design.base.feature_names else None
-        ),
-        truncated=truncated,
-    )
+    rec.advance(ell, beta)
+    path = rec.build(truncated)
     if truncated:
         warnings.warn("integration step budget exhausted; path is partial")
     return path

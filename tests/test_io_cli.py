@@ -102,6 +102,38 @@ class TestPathSerialization:
             pio.read_path_json(target)
 
 
+class TestCsvMatchesMemory:
+    """A dataset read from CSV gives the same path as the data it was written from."""
+
+    def test_csv_and_fortran_copies_standardize_identically(self, tmp_path):
+        data, _ = lp.gen_block(n=30, p=100, seed=0)
+        target = tmp_path / "block.csv"
+        pio.write_dataset_csv(data, target)
+        ref = lp.standardize(data)
+        lasso = SolverConfig(mode="lasso")
+        ref_events = [e.kind for e in solve_path(ref.expanded(), lasso).events]
+        for copy in (pio.read_dataset_csv(target),
+                     lp.Dataset(X=np.asfortranarray(data.X), y=data.y)):
+            design = lp.standardize(copy)
+            assert np.array_equal(design.Xs, ref.Xs)
+            assert [e.kind for e in solve_path(design.expanded(), lasso).events] == ref_events
+
+    @pytest.mark.parametrize("mode", ["lar", "lasso", "fs0"])
+    @pytest.mark.parametrize("name", ["sine", "block"])
+    def test_cli_solve_json_equals_in_process_solve(self, name, mode, tmp_path, capsys):
+        data = gen_sine(seed=0) if name == "sine" else lp.gen_block(n=30, p=100, seed=0)[0]
+        csv = tmp_path / "data.csv"
+        pio.write_dataset_csv(data, csv)
+        out, ref = tmp_path / "cli.json", tmp_path / "ref.json"
+        assert main(["solve", "--input", str(csv), "--method", mode, "--out", str(out)]) == 0
+        capsys.readouterr()
+        path = solve_path(lp.standardize(data).expanded(), SolverConfig(mode=mode))
+        meta = {"method": mode, "segments": path.n_segments,
+                "events": [e.kind for e in path.events]}
+        pio.write_path_json(path, ref, meta)
+        assert out.read_bytes() == ref.read_bytes()
+
+
 class TestCli:
     def run(self, capsys, *argv):
         code = main(list(argv))

@@ -107,6 +107,23 @@ class TestMoveDirections:
         np.testing.assert_allclose(move.rho[active], ref / ref.sum(), atol=1e-9)
 
 
+class TestHelpersMatchEngine:
+    @pytest.mark.parametrize("correlated", [False, True])
+    @pytest.mark.parametrize("mode, helper", [("lar", lasso_move_direction),
+                                              ("fs0", monotone_move_direction)])
+    def test_public_helper_reproduces_every_segment(self, mode, helper, correlated):
+        for seed in range(20):
+            design = gaussian_instance(25, 6, seed=seed, correlated=correlated)
+            ed = design.expanded()
+            path = solve_path(ed, SolverConfig(mode=mode))
+            for k in range(path.n_segments):
+                move = helper(ed, path.vertices[k])
+                assert move.support == tuple(sorted(path.segment_active_sets[k]))
+                step = path.breakpoints[k + 1] - path.breakpoints[k]
+                engine = (path.vertices[k + 1] - path.vertices[k]) / step
+                np.testing.assert_allclose(move.rho, engine, rtol=0, atol=1e-10)
+
+
 class TestNextEvent:
     def test_orthonormal_catchup_closed_form_and_grid(self):
         n, p = 40, 2

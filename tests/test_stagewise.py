@@ -149,6 +149,49 @@ class TestMonotoneIncremental:
         assert np.all(np.diff(path.vertices, axis=0) >= 0)
 
 
+class TestRecordedVertices:
+    """A stepping solver records a vertex at every record_stride step,
+    at every direction change, and at the end, and nowhere else."""
+
+    @pytest.mark.parametrize("stride", [1, 7, 100])
+    def test_epsilon_solvers(self, stride):
+        design = gaussian_instance(30, 5, seed=3, correlated=True)
+        cfg = StagewiseConfig(epsilon=1e-2, max_iterations=800, record_stride=stride)
+        for path, steps in (monotone_incremental(design.expanded(), cfg, return_steps=True),
+                            fs_epsilon(design, cfg, return_steps=True)):
+            m = len(steps)
+            changes = [i for i in range(1, m) if steps[i] != steps[i - 1]]
+            counts = sorted({0, m, *range(stride, m + 1, stride), *changes})
+            assert np.all(np.diff(path.breakpoints) > 0)
+            np.testing.assert_array_equal(path.breakpoints,
+                                          np.array(counts, dtype=float) * cfg.epsilon)
+            for k, count in enumerate(counts):
+                moved = np.bincount(steps[:count], minlength=2 * design.p) * cfg.epsilon
+                np.testing.assert_allclose(collapse(path.vertices[k]), collapse(moved),
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 5, 100])
+    def test_integrator(self, stride):
+        design = signal_logistic_design(seed=15)
+        ed = design.expanded()
+        loss = logistic_loss()
+        h = 0.02
+        path = integrate_monotone_path(
+            ed, loss, StepControl(step=h, arc_budget=2.0, record_stride=stride)
+        )
+        assert np.all(np.diff(path.breakpoints) > 0)
+        # Every recorded segment moves on one support, the one its first
+        # vertex's direction has: a support change always starts a segment.
+        for k in range(path.n_segments):
+            move = glm_move_direction(ed, path.vertices[k], loss)
+            moved = np.flatnonzero(path.vertices[k + 1] > path.vertices[k])
+            assert move.support == tuple(int(a) for a in moved)
+        # The step is never halved here, so breakpoints are step counts times h.
+        counts = np.round(path.breakpoints / h).astype(int)
+        np.testing.assert_allclose(counts * h, path.breakpoints, rtol=0, atol=1e-9)
+        assert set(range(0, counts[-1] + 1, stride)) <= set(counts.tolist())
+
+
 class TestGlmMoveDirection:
     def test_squared_error_coincides_with_monotone_direction(self):
         design = gaussian_instance(20, 5, seed=7, correlated=True)
