@@ -233,16 +233,18 @@ def _cmd_solve(cfg) -> int:
 
 def _cmd_stagewise(cfg) -> int:
     loss_name = cfg["loss"]
-    center = loss_name == "squared"
-    _, design = _load_design(cfg, center_response=center)
+    algo = cfg["algorithm"]
+    if loss_name != "squared":
+        if algo == "fs":
+            raise ConfigError("the signed-coordinate algorithm supports only --loss squared")
+        if cfg["sweep"]:
+            raise ConfigError("--sweep needs --loss squared")
+    _, design = _load_design(cfg, center_response=loss_name == "squared")
     loss = squared_error_loss() if loss_name == "squared" else logistic_loss()
     sw = StagewiseConfig(
         epsilon=cfg["epsilon"], max_iterations=cfg["max_iter"], record_stride=cfg["stride"]
     )
-    algo = cfg["algorithm"]
     if algo == "fs":
-        if loss_name != "squared":
-            raise ConfigError("the signed-coordinate algorithm supports only --loss squared")
         path = fs_epsilon(design, sw)
     elif algo == "monotone":
         path = monotone_incremental(
@@ -258,8 +260,6 @@ def _cmd_stagewise(cfg) -> int:
     print(f"steps: {pio.fmt(path.end / cfg['epsilon'])}")
     print(f"arc_length: {pio.fmt(path.end)}")
     if cfg["sweep"]:
-        if loss_name != "squared":
-            raise ConfigError("--sweep needs --loss squared")
         exact = solve_path(design.expanded(), SolverConfig(mode="fs0"))
         print("epsilon,sup_distance")
         for k in range(cfg["sweep"]):

@@ -46,30 +46,37 @@ MODES = ("lar", "lasso", "fs0")
 
 # Relative band within which two correlations count as tied.
 TIE_TOLERANCE = 1e-9
+# The path ends once the maximal correlation falls to this fraction of its
+# initial value, or the residual norm to this fraction of the response norm
+# (a zero-residual fit, reached when p >= n).
+CORRELATION_FLOOR = 1e-10
+RESIDUAL_FLOOR = 1e-10
 
 
 @dataclass
 class SolverConfig:
     mode: str = "lasso"
-    tie_tolerance: float = TIE_TOLERANCE
     max_steps: int | None = None       # None: 16 p + 64
     stop_l1_norm: float | None = None
     stop_lambda: float | None = None
-    correlation_floor: float | None = None  # None: 1e-10 x initial max correlation
-    residual_floor: float = 1e-10      # relative zero-residual stop (p >= n)
 
     def validate(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.tie_tolerance <= 0 or self.residual_floor <= 0:
-            raise ConfigError("tolerances must be positive")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigError("max_steps must be at least 1")
 
 
 @dataclass
 class MoveDirection:
-    """A unit-L1-mass direction in the mirrored coordinates."""
+    """A unit-L1-mass direction in the mirrored coordinates.
+
+    ``support`` lists the mirrored indices that carry mass, in the order
+    of the active set the direction was built on. The public
+    ``*_move_direction`` helpers build on the tied set, so their support
+    is in increasing index order; ``solve_path`` builds on its active set,
+    which is in join order.
+    """
 
     rho: np.ndarray
     support: tuple[int, ...]
@@ -151,7 +158,7 @@ def monotone_move_direction(
     return _nnls_direction(design, _tied_set(c, C, tie_tolerance), r)
 
 
-def _scan_events(design, beta, c, C, rho, support, members, mode, stop_state, tie_tolerance):
+def _scan_events(design, beta, c, C, rho, support, members, mode, stop_state):
     """First event along beta + gamma * rho.
 
     Correlations are linear in gamma: column j decays at rate
@@ -191,7 +198,7 @@ def _scan_events(design, beta, c, C, rho, support, members, mode, stop_state, ti
         gammas[gammas <= gamma_eps] = np.inf
         gmin = float(np.min(gammas))
         if gmin < best_gamma * (1.0 - 1e-12):
-            tied = gammas <= gmin * (1.0 + tie_tolerance)
+            tied = gammas <= gmin * (1.0 + TIE_TOLERANCE)
             best_gamma = gmin
             kind = EVENT_JOIN
             indices = [int(j) for j in cand[tied]]
@@ -233,8 +240,7 @@ def next_event(design, beta, direction: MoveDirection, mode: str = "lasso") -> P
     members = np.zeros(design.p2, dtype=bool)
     members[_tied_set(c, C, TIE_TOLERANCE)] = True
     gamma, kind, indices, _, _, _ = _scan_events(
-        design, beta, c, C, direction.rho, direction.support, members, mode, None,
-        TIE_TOLERANCE,
+        design, beta, c, C, direction.rho, direction.support, members, mode, None
     )
     index = indices[0] if indices else None
     return PathEvent(kind=kind, index=index, gamma=gamma, ell=gamma)
@@ -265,20 +271,20 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     r = y.copy()
     c = design.correlations(r)
     C = float(c.max())
-    floor = cfg.correlation_floor if cfg.correlation_floor is not None else 1e-10 * max(C, 1e-300)
+    floor = CORRELATION_FLOOR * max(C, 1e-300)
 
     rec = _PathRecorder(
         beta, "l1_arc_length" if mode == "fs0" else "l1_norm", design.base.feature_names
     )
 
-    if C <= floor or np.linalg.norm(r) <= cfg.residual_floor * y_norm:
+    if C <= floor or np.linalg.norm(r) <= RESIDUAL_FLOOR * y_norm:
         return rec.build()
     if cfg.stop_l1_norm is not None and cfg.stop_l1_norm <= 0:
         return rec.build()
 
     members = np.zeros(p2, dtype=bool)
     barred = np.zeros(p2, dtype=bool)  # columns collinear with the active set
-    active: list[int] = [int(a) for a in _tied_set(c, C, cfg.tie_tolerance)]
+    active: list[int] = [int(a) for a in _tied_set(c, C, TIE_TOLERANCE)]
     members[active] = True
     factor = CholeskyFactor.empty() if mode == "fs0" else _factor_active(design, active)
     max_steps = cfg.max_steps if cfg.max_steps is not None else 16 * p2 + 64
@@ -300,7 +306,7 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
 
         gamma, kind, indices, v, d, Delta = _scan_events(
             design, beta, c, C, rho, support, members | barred, mode,
-            (ell, cfg.stop_l1_norm, cfg.stop_lambda), cfg.tie_tolerance,
+            (ell, cfg.stop_l1_norm, cfg.stop_lambda),
         )
         index = indices[0] if indices else None
 
@@ -370,7 +376,7 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
                 active.append(j)
                 members[j] = True
 
-        if C <= floor or np.linalg.norm(r) <= cfg.residual_floor * y_norm:
+        if C <= floor or np.linalg.norm(r) <= RESIDUAL_FLOOR * y_norm:
             return rec.build()
 
     raise StepBudgetError(

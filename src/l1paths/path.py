@@ -30,7 +30,9 @@ class PiecewiseLinearPath:
     ``breakpoints[k]`` is the path parameter at vertex k (L1 norm for
     lasso-style paths, L1 arc length for monotone paths); the path is the
     linear interpolation of consecutive vertices. ``segment_active_sets``
-    holds, per segment, the expanded indices that move during it.
+    holds, per segment, the expanded indices that move during it, in the
+    order they joined the active set; the stepping solvers record an empty
+    tuple per segment.
     """
 
     breakpoints: np.ndarray
@@ -141,16 +143,13 @@ class _PathRecorder:
         if param > self.params[-1]:
             self.append(param, beta)
 
-    def build(self, truncated: bool = False, to_expanded=None) -> PiecewiseLinearPath:
+    def build(self, truncated: bool = False) -> PiecewiseLinearPath:
         breakpoints = np.array(self.params, dtype=float)
         if self.step is not None:
             breakpoints = breakpoints * self.step
-        vertices = np.array(self.vertices)
-        if to_expanded is not None:
-            vertices = to_expanded(vertices)
         return PiecewiseLinearPath(
             breakpoints=breakpoints,
-            vertices=vertices,
+            vertices=np.array(self.vertices),
             segment_active_sets=self.active_sets,
             parametrization=self.parametrization,
             events=self.events,

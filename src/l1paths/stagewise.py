@@ -1,22 +1,21 @@
 """Incremental (epsilon-step) stagewise solvers and the loss-aware integrator.
 
-Two step-for-step equivalent formulations of incremental forward
-stagewise fitting are provided: one in the signed original coordinates
-(bump the most-correlated coefficient by +/- epsilon) and one in the
-mirrored coordinates (bump the most positively correlated of the 2p
-columns by +epsilon, so every coordinate is non-decreasing). Both keep
-their correlation state with identical arithmetic, so they choose
-bitwise-identical step sequences.
+Incremental forward stagewise fitting is one loop in the mirrored
+coordinates: each step adds epsilon to the column of the augmented
+design [X, -X] with the largest negative loss gradient, so every
+coordinate is non-decreasing. Squared loss reads that gradient as the
+residual correlations; the signed solver ``fs_epsilon`` is the same
+run read back in the original coordinates (bump the most-correlated
+coefficient by +/- epsilon).
 
-For general convex losses the same bump rule uses the negative gradient,
-and an explicit Euler integrator follows the loss-aware monotone move
+An explicit Euler integrator follows the loss-aware monotone move
 direction in arc length.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +23,10 @@ from .design import StandardizedDesign
 from .errors import ConfigError, CurvatureError, StepSizeError
 from .lars import TIE_TOLERANCE, MoveDirection, _as_expanded, _nnls_direction, _tied_set
 from .losses import LossModel
-from .path import _PathRecorder, expand
+from .path import _PathRecorder, collapse, expand
+
+# Relative loss increase an Euler step may make and still be accepted.
+LOSS_INCREASE_SLACK = 1e-12
 
 
 @dataclass
@@ -55,67 +57,18 @@ def fs_epsilon(
     """Signed incremental forward stagewise fitting.
 
     Repeatedly bumps the coefficient of the predictor most correlated
-    with the residual by epsilon times the sign of that correlation,
-    until no correlation exceeds the stop tolerance or the iteration
-    budget runs out (the path is then flagged truncated). Ties at the
-    maximal absolute correlation prefer positively correlated columns,
-    lowest index first, matching the mirrored formulation's ordering.
-
-    The recorded path lives in the mirrored coordinates via the
-    positive/negative split of the signed coefficients; its breakpoints
-    are the cumulative stepped distance m * epsilon.
+    with the residual by epsilon times the sign of that correlation. This
+    is ``monotone_incremental`` with squared loss read in signed
+    coordinates: a step on mirrored column j < p is +epsilon on
+    coefficient j, a step on column p + j is -epsilon, so both take the
+    same steps and the same stop and truncation rules. Each recorded
+    vertex is the positive/negative split of its signed coefficients.
     """
-    config.validate()
-    X = design.Xs
-    y = design.y_centered
-    p = design.p
-    gram = X.T @ X
-    c = X.T @ y
-    tol = _stop_tolerance(config, y)
-
-    beta = np.zeros(p)
-    rec = _PathRecorder(beta, "l1_arc_length", design.feature_names, step=config.epsilon)
-    steps: list[int] = []
-    prev_choice = -1
-    truncated = False
-    m = 0
-    while True:
-        if m >= config.max_iterations:
-            truncated = _max_abs(c) > tol
-            break
-        amax = _max_abs(c)
-        if amax <= tol:
-            break
-        pos = np.flatnonzero(c == amax)
-        if pos.size:
-            j = int(pos[0])
-            sign = 1.0
-            choice = j
-        else:
-            j = int(np.flatnonzero(-c == amax)[0])
-            sign = -1.0
-            choice = p + j
-        if choice != prev_choice and m > 0:
-            rec.advance(m, beta)
-        prev_choice = choice
-        delta = sign * config.epsilon
-        beta[j] += delta
-        c -= delta * gram[:, j]
-        steps.append(choice)
-        m += 1
-        if m % config.record_stride == 0:
-            rec.advance(m, beta)
-    rec.advance(m, beta)
-    path = rec.build(truncated, to_expanded=expand)
-    if truncated:
-        warnings.warn("stagewise iteration budget exhausted; path is partial")
+    path, steps = monotone_incremental(design, config, return_steps=True)
+    path = replace(path, vertices=expand(collapse(path.vertices)))
     if return_steps:
-        return path, np.asarray(steps, dtype=np.int64)
+        return path, steps
     return path
-
-
-def _max_abs(c: np.ndarray) -> float:
-    return float(np.max(np.abs(c)))
 
 
 def monotone_incremental(
@@ -126,76 +79,61 @@ def monotone_incremental(
 ):
     """Mirrored incremental forward stagewise fitting.
 
-    Each step adds epsilon to the mirrored coordinate whose column is
-    most positively correlated with the residual, so every coordinate is
-    non-decreasing by construction. With a loss model the selection uses
-    the largest negative loss gradient instead, and the predictor vector
-    is updated incrementally; squared error reproduces the plain
-    correlation rule.
+    Each step adds epsilon to the mirrored coordinate whose column has
+    the largest negative loss gradient (for squared loss: is most
+    positively correlated with the residual), so every coordinate is
+    non-decreasing by construction. Ties go to the lowest mirrored
+    index: a positive column beats a negated one, then the lower column
+    index wins. Squared loss keeps the gradient current through the
+    Gram matrix; another loss model recomputes it from the updated
+    predictor. Stepping stops once no gradient exceeds the stop
+    tolerance; if the iteration budget runs out first, the path is
+    flagged truncated.
     """
     config.validate()
     design = _as_expanded(design)
     p = design.p
     y = design.base.y_centered
+    tol = _stop_tolerance(config, y)
+    squared = loss is None or loss.name == "squared"
+    if squared:
+        gram = design.base_gram()
+        c0 = design.base.Xs.T @ y
+        g = np.concatenate([c0, -c0])
+    else:
+        loss.validate_response(y)
+        eta = np.zeros(design.n)
     beta = np.zeros(design.p2)
     rec = _PathRecorder(beta, "l1_arc_length", design.base.feature_names, step=config.epsilon)
     steps: list[int] = []
     prev_choice = -1
     truncated = False
     m = 0
-
-    if loss is None or loss.name == "squared":
-        gram = design.base_gram()
-        c0 = design.base.Xs.T @ y
-        c = np.concatenate([c0, -c0])
-        tol = _stop_tolerance(config, y)
-        while True:
-            if m >= config.max_iterations:
-                truncated = float(c.max()) > tol
-                break
-            cmax = float(c.max())
-            if cmax <= tol:
-                break
-            a = int(np.argmax(c))
-            if a != prev_choice and m > 0:
-                rec.advance(m, beta)
-            prev_choice = a
-            j = a % p
-            upd = config.epsilon * gram[:, j]
-            if a < p:
-                c[:p] -= upd
-                c[p:] += upd
-            else:
-                c[:p] += upd
-                c[p:] -= upd
-            beta[a] += config.epsilon
-            steps.append(a)
-            m += 1
-            if m % config.record_stride == 0:
-                rec.advance(m, beta)
-    else:
-        loss.validate_response(y)
-        eta = np.zeros(design.n)
-        tol = _stop_tolerance(config, y)
-        while True:
-            if m >= config.max_iterations:
-                truncated = True
-                break
+    while True:
+        if not squared:
             g = design.correlations(-loss.first(y, eta))
-            cmax = float(g.max())
-            if cmax <= tol:
-                truncated = False
-                break
-            a = int(np.argmax(g))
-            if a != prev_choice and m > 0:
-                rec.advance(m, beta)
-            prev_choice = a
+        if float(g.max()) <= tol:
+            break
+        if m >= config.max_iterations:
+            truncated = True
+            break
+        a = int(np.argmax(g))
+        if a != prev_choice and m > 0:
+            rec.advance(m, beta)
+        prev_choice = a
+        if squared:
+            upd = config.epsilon * gram[:, a % p]
+            if a >= p:
+                upd = -upd
+            g[:p] -= upd
+            g[p:] += upd
+        else:
             eta = eta + config.epsilon * design.column(a)
-            beta[a] += config.epsilon
-            steps.append(a)
-            m += 1
-            if m % config.record_stride == 0:
-                rec.advance(m, beta)
+        beta[a] += config.epsilon
+        steps.append(a)
+        m += 1
+        if m % config.record_stride == 0:
+            rec.advance(m, beta)
     rec.advance(m, beta)
     path = rec.build(truncated)
     if truncated:
@@ -250,8 +188,6 @@ class StepControl:
     arc_budget: float | None = None
     max_steps: int = 200_000
     gradient_tolerance: float | None = None  # None: 1e-8 x ||response||_2
-    tie_tolerance: float = TIE_TOLERANCE
-    loss_increase_slack: float = 1e-12
     min_step_factor: float = 2.0**-20
     record_stride: int = 100
 
@@ -300,7 +236,7 @@ def integrate_monotone_path(design, loss: LossModel, control: StepControl | None
             break
         direction = glm_move_direction(
             design, beta, loss,
-            tie_tolerance=control.tie_tolerance, zero_tolerance=tol,
+            zero_tolerance=tol,
         )
         if direction.is_zero:
             break
@@ -308,7 +244,7 @@ def integrate_monotone_path(design, loss: LossModel, control: StepControl | None
         while True:
             eta_trial = eta + h * step_fit
             trial = loss.total(y, eta_trial)
-            if trial <= current + control.loss_increase_slack * (1.0 + abs(current)):
+            if trial <= current + LOSS_INCREASE_SLACK * (1.0 + abs(current)):
                 break
             h /= 2.0
             if h < h_floor:

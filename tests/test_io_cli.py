@@ -219,6 +219,20 @@ class TestCli:
         d2 = float(lines[idx + 2].split(",")[1])
         assert d2 < d1
 
+    def test_stagewise_sweep_rejects_logistic_before_solving(self, tmp_path, capsys):
+        rng = np.random.Generator(np.random.PCG64(4))
+        X = rng.standard_normal((40, 3))
+        csv = tmp_path / "log.csv"
+        pio.write_dataset_csv(lp.Dataset(X=X, y=(X[:, 0] > 0).astype(float)), csv)
+        out = tmp_path / "g.json"
+        code, stdout, err = self.run(capsys, "stagewise", "--input", str(csv),
+                                     "--loss", "logistic", "--algorithm", "monotone",
+                                     "--sweep", "2", "--out", str(out))
+        assert code == 2
+        assert "--sweep needs --loss squared" in err
+        assert not out.exists()
+        assert "steps:" not in stdout
+
     def test_check_monotone_emits_violation_json(self, sine_csv, tmp_path, capsys):
         out = tmp_path / "viol.json"
         code, stdout, _ = self.run(capsys, "check-monotone", "--input", str(sine_csv),

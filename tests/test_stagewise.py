@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,36 @@ class TestMonotoneIncremental:
         path, steps = monotone_incremental(design.expanded(), cfg, return_steps=True)
         assert path.end == pytest.approx(len(steps) * 0.01, abs=1e-12)
         assert np.all(np.diff(path.vertices, axis=0) >= 0)
+
+    @pytest.mark.parametrize("y, first", [((1, -1), 0), ((-1, 1), 1)])
+    def test_tie_rule_positive_column_then_lower_index(self, y, first):
+        # |x0 . y| = |x1 . y| = 4 exactly; the positive column wins over
+        # the negated one
+        X = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]]).T
+        design = standardize(lp.Dataset(X=X, y=X @ np.array(y, dtype=float)))
+        np.testing.assert_array_equal(np.abs(design.Xs.T @ design.y_centered), [4.0, 4.0])
+        cfg = StagewiseConfig(epsilon=0.1, max_iterations=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, s_signed = fs_epsilon(design, cfg, return_steps=True)
+            _, s_mirror = monotone_incremental(design.expanded(), cfg, return_steps=True)
+        assert s_signed.tolist() == s_mirror.tolist() == [first]
+
+    def test_truncated_means_the_same_for_both_losses(self):
+        # both standardized columns are orthogonal to y - 1/2, so the
+        # logistic gradient at zero is exactly zero, as are the correlations
+        X = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, -1.0], [0.0, 1.0]])
+        zero = standardize(lp.Dataset(X=X, y=np.array([1.0, 0.0, 1.0, 0.0])),
+                           center_response=False)
+        live = signal_logistic_design(seed=15)
+        for loss in (squared_error_loss(), logistic_loss()):
+            for design, budget, truncated in ((zero, 0, False), (live, 3, True)):
+                cfg = StagewiseConfig(epsilon=0.1, max_iterations=budget)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    path = monotone_incremental(design.expanded(), cfg, loss=loss)
+                assert path.truncated is truncated
+                assert len(caught) == int(truncated)
 
 
 class TestRecordedVertices:
