@@ -43,7 +43,7 @@ from .lars import (
     next_event,
     solve_path,
 )
-from .linalg import CholeskyFactor, solve_least_squares, solve_nnls
+from .linalg import CholeskyFactor, solve_least_squares, solve_nnls, solve_nnls_gram
 from .losses import LossModel, logistic_loss, squared_error_loss
 from .monotone import (
     ConditionReport,
@@ -135,6 +135,7 @@ __all__ = [
     "signal",
     "solve_least_squares",
     "solve_nnls",
+    "solve_nnls_gram",
     "solve_path",
     "spline_columns",
     "squared_error_loss",

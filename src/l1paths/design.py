@@ -179,6 +179,12 @@ class ExpandedDesign:
             self._gram0 = self.base.Xs.T @ self.base.Xs
         return self._gram0
 
+    def gram_block(self, indices) -> np.ndarray:
+        """Gram matrix of the expanded columns at the given indices."""
+        idx = np.asarray(indices, dtype=int)
+        signs = np.where(idx >= self.p, -1.0, 1.0)
+        return self.base_gram()[np.ix_(idx % self.p, idx % self.p)] * np.outer(signs, signs)
+
     def gram_entries(self, a: int, others) -> np.ndarray:
         """Inner products of expanded column a with other expanded columns."""
         p = self.p

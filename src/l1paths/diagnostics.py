@@ -18,6 +18,10 @@ from .errors import ConfigError
 from .path import PiecewiseLinearPath, collapse
 
 INDEX_CHOICES = ("norm", "arclength")
+# Index values are summed from vertices and can round a few ULPs past the
+# path's own end; a value within this fraction of the largest index value
+# maps to the last knot.
+INDEX_END_RTOL = 1e-12
 
 
 @dataclass
@@ -83,7 +87,7 @@ class _IndexMap:
             k = int(up[0])
             t = (value - iv[k]) / (iv[k + 1] - iv[k])
             return float(kn[k] + t * (kn[k + 1] - kn[k]))
-        if value > iv.max():
+        if value > iv.max() * (1.0 + INDEX_END_RTOL):
             raise ValueError(f"index value {value} beyond the path's range {iv.max()}")
         return float(kn[-1])
 

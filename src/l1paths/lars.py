@@ -30,7 +30,7 @@ from .errors import (
     InternalConsistencyError,
     StepBudgetError,
 )
-from .linalg import CholeskyFactor, solve_nnls
+from .linalg import CholeskyFactor, solve_nnls_gram
 from .path import (
     EVENT_DROP,
     EVENT_FULL_LS,
@@ -106,14 +106,18 @@ def _unit_direction(p2: int, active, theta: np.ndarray) -> MoveDirection:
     return MoveDirection(rho, tuple(int(a) for a in active if rho[a] != 0.0))
 
 
-def _nnls_direction(design, active, target, weights=None, warm=None) -> MoveDirection:
-    """Unit-mass (weighted) non-negative least-squares move on the active columns."""
-    Xa = design.columns(active)
-    if weights is not None:
-        sw = np.sqrt(weights)
-        Xa = sw[:, None] * Xa
-        target = sw * target
-    return _unit_direction(design.p2, active, solve_nnls(Xa, target, initial_support=warm))
+def _nnls_direction(design, active, c, weights=None, warm=None) -> MoveDirection:
+    """Unit-mass (weighted) non-negative least-squares move on the active columns.
+
+    ``c``: the active columns' correlations with the target. The Gram block
+    comes from the cached base Gram, or from the columns under ``weights``.
+    """
+    if weights is None:
+        G = design.gram_block(active)
+    else:
+        Xa = design.columns(active)
+        G = Xa.T @ (weights[:, None] * Xa)
+    return _unit_direction(design.p2, active, solve_nnls_gram(G, c, initial_support=warm))
 
 
 def lasso_move_direction(
@@ -155,7 +159,8 @@ def monotone_move_direction(
     C = float(c.max())
     if C <= zero_tolerance:
         return MoveDirection(np.zeros(design.p2), ())
-    return _nnls_direction(design, _tied_set(c, C, tie_tolerance), r)
+    active = _tied_set(c, C, tie_tolerance)
+    return _nnls_direction(design, active, c[active])
 
 
 def _scan_events(design, beta, c, C, rho, support, members, mode, stop_state):
@@ -184,10 +189,7 @@ def _scan_events(design, beta, c, C, rho, support, members, mode, stop_state):
 
     support_mask = np.zeros(design.p2, dtype=bool)
     support_mask[list(support)] = True
-    excluded = members.copy()
-    pair = np.arange(design.p2)
-    pair = np.where(pair < p, pair + p, pair - p)
-    excluded |= support_mask[pair]
+    excluded = members | np.concatenate([support_mask[p:], support_mask[:p]])  # mirrors
 
     cand = np.flatnonzero(~excluded)
     if cand.size:
@@ -299,7 +301,7 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         # Direction on the current active set.
         if mode == "fs0":
             warm = [active.index(a) for a in prev_support if a in active]
-            direction = _nnls_direction(design, active, r, warm=warm)
+            direction = _nnls_direction(design, active, c[active], warm=warm)
         else:
             direction = _unit_direction(p2, active, factor.solve_gram(c[active]))
         rho, support = direction.rho, direction.support
@@ -348,13 +350,8 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         # coordinate that carried no mass decays faster than the tied
         # maximum and falls out of contention.
         if mode == "fs0":
-            keep = []
-            for a in active:
-                if rho[a] == 0.0 and d[a] > Delta * (1.0 + 1e-12):
-                    members[a] = False
-                else:
-                    keep.append(a)
-            active = keep
+            members[[a for a in active if rho[a] == 0.0 and d[a] > Delta * (1.0 + 1e-12)]] = False
+            active = [a for a in active if members[a]]
         if kind == EVENT_DROP:
             pos = active.index(index)
             factor = factor.drop_column(pos)
@@ -393,12 +390,8 @@ def _factor_active(design, active):
 
 
 def _append_factor(design, factor, current, new_index):
-    row = np.empty(factor.size + 1)
-    if factor.size:
-        row[:-1] = design.gram_entries(new_index, current)
-    row[-1] = design.gram_entries(new_index, [new_index])[0]
     try:
-        return factor.append_column(row)
+        return factor.append_column(design.gram_entries(new_index, [*current, new_index]))
     except DegenerateDesignError:
         name = design.base.name_of(new_index % design.p)
         raise DegenerateDesignError(

@@ -1,21 +1,29 @@
-"""Dense least-squares kernels.
+"""Dense least-squares kernels, all in Gram space (G = A.T A, c = A.T b).
 
-Cholesky factors of Gram matrices that grow and shrink one column at a
-time, a pivoted least-squares solve, and an active-set non-negative
-least-squares solver. Everything here is a pure function of its inputs:
-factors are immutable and update operations return new factors.
+Cholesky factors that grow and shrink one column at a time, a least-squares
+solve, and Lawson-Hanson non-negative least squares. One relative pivot
+check, ``PIVOT_RTOL``, makes every rank decision (an append raises, NNLS
+skips the column); forming G squares the condition number of A. Factors
+are immutable; update operations return new factors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DegenerateDesignError, SolverStallError
 
 # Relative pivot threshold: a new diagonal below this fraction of the
 # largest Gram diagonal means the column is dependent on the others.
 PIVOT_RTOL = 1e-12
+# NNLS dual feasibility: a variable may enter while its dual exceeds this
+# fraction of max(1, max|c|), c the correlations A.T b.
+NNLS_DUAL_RTOL = 1e-10
+# NNLS line-move floor: a passive coefficient a line move leaves at or below
+# this fraction of the largest coefficient after the move is set to zero.
+NNLS_FLOOR_RTOL = 1e-14
 
 
 class CholeskyFactor:
@@ -134,99 +142,92 @@ def solve_least_squares(A: np.ndarray, b: np.ndarray, column_names=None) -> np.n
     return factor.solve_gram(A.T @ b)
 
 
-def solve_nnls(
-    A: np.ndarray,
-    b: np.ndarray,
-    max_pivots: int | None = None,
-    tol: float | None = None,
+def _passive_factor(G: np.ndarray, passive: list[int]):
+    """Kept members of P and the lower Cholesky factor of ``G[P, P]``.
+
+    A member whose pivot fails ``PIVOT_RTOL`` depends on those before it.
+    """
+    while passive:
+        block = G[np.ix_(passive, passive)]
+        L, info = dpotrf(block, lower=1)
+        k = info - 1 if info > 0 else len(passive)
+        ok = np.diag(L)[:k] ** 2 > PIVOT_RTOL * np.maximum.accumulate(np.diag(block))[:k]
+        bad = k if ok.all() else int(np.argmin(ok))
+        if bad == len(passive):
+            return passive, L
+        passive = passive[:bad] + passive[bad + 1 :]
+    return passive, None
+
+
+def solve_nnls_gram(
+    G: np.ndarray, c: np.ndarray, max_pivots: int | None = None, tol: float | None = None,
     initial_support: list[int] | None = None,
 ) -> np.ndarray:
-    """Minimize ||b - A theta||_2 subject to theta >= 0.
+    """Minimize ||b - A theta||_2 subject to theta >= 0, given G = A.T A, c = A.T b.
 
-    Active-set method in the Lawson-Hanson style: variables enter the
-    support at the most positive dual value and leave when a line move
-    toward the unconstrained subproblem solution drives them to zero.
-    Terminates finitely with the exact optimum.
-
-    Parameters
-    ----------
-    A : (m, n) array
-    b : (m,) array
-    max_pivots : iteration cap on support changes; default ``10 * n``.
-    tol : dual feasibility tolerance; default scales with ``max|A.T b|``.
-    initial_support : candidate support to warm start from (e.g. the
-        support of a nearby problem's solution); trimmed to feasibility
-        before the usual dual iteration takes over.
-
-    Raises
-    ------
-    SolverStallError
-        If the pivot cap is hit before the dual variables are feasible.
+    Lawson-Hanson in Gram form (FNNLS, Bro & De Jong): the largest dual
+    ``c - G theta`` above ``tol`` enters the passive set P, and a line move
+    toward the least-squares solution on P (one Cholesky factorization of
+    ``G[P, P]``) drops what it drives to zero. A candidate failing the
+    ``PIVOT_RTOL`` check depends on P and is skipped for that iteration
+    (Lawson-Hanson step 6). ``max_pivots`` caps support changes (default
+    ``10 n``; then SolverStallError); ``tol`` defaults to NNLS_DUAL_RTOL
+    times max(1, max|c|); ``initial_support`` is a warm start, trimmed to
+    feasibility before the dual iteration takes over.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if max_pivots is None:
-        max_pivots = 10 * n
-    grad0 = A.T @ b
-    if tol is None:
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(grad0))))
-
+    G = np.asarray(G, dtype=float)
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    max_pivots = 10 * n if max_pivots is None else max_pivots
+    tol = NNLS_DUAL_RTOL * max(1.0, float(np.max(np.abs(c)))) if tol is None else tol
     x = np.zeros(n)
-    passive: list[int] = []
+    warm = dict.fromkeys(int(j) for j in initial_support or () if 0 <= int(j) < n)
+    passive, L = _passive_factor(G, list(warm))
     pivots = 0
-
-    def refit_to_feasibility():
-        """Solve on the passive set; line moves shed non-positive entries."""
-        nonlocal passive, pivots
-        while passive:
-            sub = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+    while True:
+        while passive:  # refit on P; line moves shed non-positive entries
+            if pivots > max_pivots:
+                raise SolverStallError(
+                    f"non-negative least squares stalled after {pivots - 1} pivots"
+                )
+            sub = dpotrs(L, c[passive], lower=1)[0]
             if sub.min() > 0.0:
-                x[:] = 0.0
-                x[passive] = sub
-                return
+                break
             xp = x[passive]
             mask = sub <= 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(mask, xp / (xp - sub), np.inf)
             hit = int(np.argmin(ratios))
-            alpha = float(ratios[hit])
-            x_new = xp + alpha * (sub - xp)
-            floor = 1e-14 * max(float(np.max(np.abs(x_new))), 1e-300)
-            keep = []
-            for pos, j in enumerate(passive):
-                if pos == hit or (mask[pos] and x_new[pos] <= floor):
-                    x[j] = 0.0
-                    pivots += 1
-                else:
-                    x[j] = x_new[pos]
-                    keep.append(j)
-            passive = keep
-            if pivots > max_pivots:
-                raise SolverStallError(
-                    f"non-negative least squares stalled after {pivots - 1} pivots"
-                )
+            x_new = xp + ratios[hit] * (sub - xp)
+            drop = mask & (x_new <= NNLS_FLOOR_RTOL * max(np.max(np.abs(x_new)), 1e-300))
+            drop[hit] = True
+            x[passive] = np.where(drop, 0.0, x_new)
+            pivots += int(drop.sum())
+            passive, L = _passive_factor(G, [j for j, d in zip(passive, drop) if not d])
         x[:] = 0.0
-
-    if initial_support:
-        passive = [int(j) for j in dict.fromkeys(initial_support) if 0 <= int(j) < n]
-        refit_to_feasibility()
-    w = A.T @ (b - A @ x)
-
-    while True:
-        candidates = [j for j in range(n) if j not in passive]
-        if not candidates:
-            break
-        w_cand = w[candidates]
-        best = int(np.argmax(w_cand))
-        if w_cand[best] <= tol:
-            break
-        passive.append(candidates[best])
+        x[passive] = sub if passive else 0.0
+        w = c - G[:, passive] @ x[passive]
+        w[passive] = -np.inf
+        while True:
+            j = int(np.argmax(w))
+            if not w[j] > tol:
+                return x
+            trial, L = _passive_factor(G, passive + [j])
+            if trial[-1:] == [j]:
+                break
+            w[j] = -np.inf  # j depends on P: skipped (Lawson-Hanson step 6)
+        passive = trial
         pivots += 1
-        if pivots > max_pivots:
-            raise SolverStallError(
-                f"non-negative least squares stalled after {pivots - 1} pivots"
-            )
-        refit_to_feasibility()
-        w = A.T @ (b - A @ x)
-    return x
+
+
+def solve_nnls(
+    A: np.ndarray, b: np.ndarray, max_pivots: int | None = None, tol: float | None = None,
+    initial_support: list[int] | None = None,
+) -> np.ndarray:
+    """Minimize ||b - A theta||_2 subject to theta >= 0 (rank-deficient A is fine).
+
+    ``solve_nnls_gram`` on ``A.T A`` and ``A.T b``; see there for the options.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return solve_nnls_gram(A.T @ A, A.T @ b, max_pivots, tol, initial_support)

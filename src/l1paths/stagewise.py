@@ -45,9 +45,9 @@ class StagewiseConfig:
             raise ConfigError("max_iterations must be non-negative")
 
 
-def _stop_tolerance(config: StagewiseConfig, y: np.ndarray) -> float:
-    if config.stop_correlation_tolerance is not None:
-        return config.stop_correlation_tolerance
+def _stop_tolerance(tolerance: float | None, y: np.ndarray) -> float:
+    if tolerance is not None:
+        return tolerance
     return 1e-8 * float(np.linalg.norm(y))
 
 
@@ -94,7 +94,7 @@ def monotone_incremental(
     design = _as_expanded(design)
     p = design.p
     y = design.base.y_centered
-    tol = _stop_tolerance(config, y)
+    tol = _stop_tolerance(config.stop_correlation_tolerance, y)
     squared = loss is None or loss.name == "squared"
     if squared:
         gram = design.base_gram()
@@ -177,7 +177,8 @@ def glm_move_direction(
         raise CurvatureError(
             "second-derivative weights collapsed to zero; reduce the step size"
         )
-    return _nnls_direction(design, _tied_set(g, C, tie_tolerance), -u / w, weights=w)
+    active = _tied_set(g, C, tie_tolerance)
+    return _nnls_direction(design, active, g[active], weights=w)
 
 
 @dataclass
@@ -214,10 +215,7 @@ def integrate_monotone_path(design, loss: LossModel, control: StepControl | None
     design = _as_expanded(design)
     y = design.base.y_centered
     loss.validate_response(y)
-    if control.gradient_tolerance is not None:
-        tol = control.gradient_tolerance
-    else:
-        tol = 1e-8 * float(np.linalg.norm(y))
+    tol = _stop_tolerance(control.gradient_tolerance, y)
 
     h = control.step
     h_floor = control.step * control.min_step_factor
@@ -234,10 +232,7 @@ def integrate_monotone_path(design, loss: LossModel, control: StepControl | None
         if accepted >= control.max_steps:
             truncated = True
             break
-        direction = glm_move_direction(
-            design, beta, loss,
-            zero_tolerance=tol,
-        )
+        direction = glm_move_direction(design, beta, loss, zero_tolerance=tol)
         if direction.is_zero:
             break
         step_fit = design.predict(direction.rho)

@@ -215,3 +215,24 @@ class TestHoldoutMse:
         curve = holdout_mse(design, path, rng.standard_normal((100, 4)),
                             beta_true=np.zeros(4), grid=11)
         np.testing.assert_allclose(curve.index, np.linspace(0, 1, 11), atol=1e-15)
+
+
+class TestIndexAtPathEnd:
+    """Index values are sums over vertices and may round past the path's end."""
+
+    @pytest.mark.parametrize("mode, index_by", [("fs0", "arclength"), ("lasso", "norm")])
+    def test_path_end_maps_to_final_vertex(self, mode, index_by):
+        for correlated in (False, True):
+            for seed in range(20):
+                design = gaussian_instance(20, 5, seed=seed, correlated=correlated)
+                path = solve_path(design.expanded(), SolverConfig(mode=mode))
+                r = design.y_centered - design.Xs @ collapse(path.vertices[-1])
+                rss = rss_at_index(design, path, [path.end], index_by)
+                np.testing.assert_allclose(rss, [r @ r], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mode, index_by", [("fs0", "arclength"), ("lasso", "norm")])
+    def test_value_past_the_end_raises(self, mode, index_by):
+        design = gaussian_instance(20, 5, seed=0)
+        path = solve_path(design.expanded(), SolverConfig(mode=mode))
+        with pytest.raises(ValueError, match="beyond the path's range"):
+            rss_at_index(design, path, [path.end * (1.0 + 1e-9)], index_by)

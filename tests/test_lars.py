@@ -349,3 +349,73 @@ class TestKKTCertify:
         beta[0] = -0.5
         with pytest.raises(ValueError):
             kkt_certify(design.expanded(), beta, 1.0)
+
+
+class TestGramSpaceFs0:
+    def test_fs0_never_materializes_columns(self, monkeypatch):
+        calls = []
+        original = lp.ExpandedDesign.columns
+
+        def counting(self, indices):
+            calls.append(len(indices))
+            return original(self, indices)
+
+        monkeypatch.setattr(lp.ExpandedDesign, "columns", counting)
+        for seed in range(3):
+            design = standardize(lp.gen_block(n=30, p=100, seed=seed)[0])
+            path = solve_path(design.expanded(), SolverConfig(mode="fs0"))
+            assert path.n_segments > 0
+        assert calls == []
+
+
+def _near_collinear(seed):
+    rng = rng_for(seed)
+    X = rng.standard_normal((30, 8))
+    X[:, 1] = X[:, 0] + 1e-7 * rng.standard_normal(30)
+    y = X @ rng.standard_normal(8) + rng.standard_normal(30)
+    return standardize(lp.Dataset(X=X, y=y))
+
+
+def _copied_column(seed, n, p, sign):
+    rng = rng_for(seed)
+    X = rng.standard_normal((n, p))
+    X[:, 1] = sign * X[:, 0]
+    y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+    return standardize(lp.Dataset(X=X, y=y))
+
+
+class TestCollinearColumns:
+    """One rule in all modes: a column the pivot check calls dependent carries no mass."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_near_collinear_fs0_ends_at_lasso_vertex(self, seed):
+        ed = _near_collinear(seed).expanded()
+        lasso = solve_path(ed, SolverConfig(mode="lasso"))
+        fs0 = solve_path(ed, SolverConfig(mode="fs0"))
+        end = collapse(lasso.vertices[-1])
+        scale = max(1.0, float(np.abs(lasso.vertices).max()))
+        assert np.max(np.abs(collapse(fs0.vertices[-1]) - end)) <= 1e-9 * scale
+        # the pair never carries the opposing mass of an unregularized fit
+        assert np.abs(collapse(fs0.vertices)[:, :2]).max() <= 10.0 * scale
+
+    @pytest.mark.parametrize("n, p, sign", [(30, 8, 1.0), (30, 8, -1.0), (10, 20, 1.0)])
+    def test_copied_columns_end_at_least_squares(self, n, p, sign):
+        for seed in range(5):
+            design = _copied_column(seed, n, p, sign)
+            y = design.y_centered
+            c = np.abs(design.Xs.T @ y)
+            tied_at_start = c[0] >= c.max() * (1.0 - 1e-9)
+            for mode in ("lar", "lasso", "fs0"):
+                if tied_at_start and mode != "fs0":
+                    # a collinear pair in the starting tie cannot be factored
+                    with pytest.raises(lp.DegenerateDesignError):
+                        solve_path(design.expanded(), SolverConfig(mode=mode))
+                    continue
+                path = solve_path(design.expanded(), SolverConfig(mode=mode))
+                b = collapse(path.vertices[-1])
+                r = y - design.Xs @ b
+                if n > p:
+                    assert path.events[-1].kind == "full_ls"
+                    assert np.max(np.abs(design.Xs.T @ r)) <= 1e-9 * np.linalg.norm(y)
+                else:  # p > n ends at the first zero-residual point
+                    assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(y)

@@ -7,6 +7,7 @@ from l1paths import (
     SolverStallError,
     solve_least_squares,
     solve_nnls,
+    solve_nnls_gram,
 )
 from oracles import ls_by_gram_inverse, nnls_by_enumeration, rng_for
 
@@ -151,3 +152,45 @@ class TestCholeskyFactor:
         factor = CholeskyFactor.from_gram(np.eye(2))
         with pytest.raises(DegenerateDesignError):
             factor.append_column(np.array([1.0, 0.0, 1.0]))  # duplicate of column 0
+
+
+class TestNNLSGram:
+    def _kkt_optimal(self, A, b, theta):
+        _, best_obj = nnls_by_enumeration(A, b)
+        r = b - A @ theta
+        nu = -A.T @ r
+        tol = 1e-8 * max(np.linalg.norm(b), 1e-30) * max(1.0, np.abs(A).max())
+        assert theta.min() >= 0.0
+        assert nu.min() >= -tol
+        assert np.max(np.abs(nu * theta)) <= tol
+        assert float(r @ r) <= best_obj + 1e-9 * max(1.0, best_obj)
+
+    def test_duplicated_column_is_kkt_optimal(self):
+        for seed in range(20):
+            rng = rng_for(300 + seed)
+            A = rng.standard_normal((10, 4))
+            A = np.column_stack([A, A[:, 1]])
+            b = A @ np.abs(rng.standard_normal(5)) + 0.3 * rng.standard_normal(10)
+            theta = solve_nnls(A, b)
+            self._kkt_optimal(A, b, theta)
+            assert min(theta[1], theta[4]) == 0.0  # the copy never joins its original
+
+    def test_wide_matrix_is_kkt_optimal(self):
+        for seed in range(20):
+            rng = rng_for(400 + seed)
+            A = rng.standard_normal((4, 7))
+            b = rng.standard_normal(4)
+            theta = solve_nnls(A, b)
+            self._kkt_optimal(A, b, theta)
+            assert np.count_nonzero(theta) <= 4
+
+    def test_gram_form_matches_public_solver(self):
+        for seed in range(1000):
+            rng = rng_for(seed)
+            m = int(rng.integers(3, 9))
+            n = int(rng.integers(1, 5))
+            A = rng.standard_normal((m, n))
+            b = rng.standard_normal(m)
+            np.testing.assert_allclose(
+                solve_nnls_gram(A.T @ A, A.T @ b), solve_nnls(A, b), rtol=0, atol=1e-12
+            )
