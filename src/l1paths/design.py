@@ -179,11 +179,13 @@ class ExpandedDesign:
             self._gram0 = self.base.Xs.T @ self.base.Xs
         return self._gram0
 
-    def gram_block(self, indices) -> np.ndarray:
-        """Gram matrix of the expanded columns at the given indices."""
+    def gram_block(self, indices, others=None) -> np.ndarray:
+        """Inner products of the expanded columns at ``indices`` (rows) with
+        those at ``others`` (columns; default: ``indices`` again)."""
         idx = np.asarray(indices, dtype=int)
-        signs = np.where(idx >= self.p, -1.0, 1.0)
-        return self.base_gram()[np.ix_(idx % self.p, idx % self.p)] * np.outer(signs, signs)
+        jdx = idx if others is None else np.asarray(others, dtype=int)
+        signs = np.outer(np.where(idx >= self.p, -1.0, 1.0), np.where(jdx >= self.p, -1.0, 1.0))
+        return self.base_gram()[np.ix_(idx % self.p, jdx % self.p)] * signs
 
     def gram_entries(self, a: int, others) -> np.ndarray:
         """Inner products of expanded column a with other expanded columns."""

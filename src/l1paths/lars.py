@@ -358,17 +358,26 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
             active.pop(pos)
             members[index] = False
         elif kind == EVENT_JOIN:
+            # A catcher in the span of the active columns (typical once the
+            # active set saturates the sample size, where every remaining
+            # column ties) cannot carry an independent move: it is barred
+            # with its mirror and the active direction continues unchanged.
+            if mode != "fs0" and len(indices) > 1:
+                # One batched rank test against the factor at the start of
+                # the event. Appends only shrink a candidate's pivot, so a
+                # column failing here fails the append below too; survivors
+                # still go through it, one at a time and in order.
+                cand = np.asarray(indices)
+                diag = design.base_gram().diagonal()[cand % design.p]
+                ok = factor.admits(np.vstack([design.gram_block(active, cand), diag]))
+                barred[np.concatenate([cand[~ok], (cand[~ok] + design.p) % p2])] = True
+                indices = [int(j) for j in cand[ok]]
             for j in indices:
                 if mode != "fs0":
                     try:
                         factor = _append_factor(design, factor, active, j)
                     except DegenerateDesignError:
-                        # the catcher lies in the span of the active columns
-                        # (typical once the active set saturates the sample
-                        # size); it cannot carry an independent move, so it is
-                        # barred and the active direction continues unchanged
-                        barred[j] = True
-                        barred[j + design.p if j < design.p else j - design.p] = True
+                        barred[[j, (j + design.p) % p2]] = True
                         continue
                 active.append(j)
                 members[j] = True

@@ -2,9 +2,10 @@
 
 Cholesky factors that grow and shrink one column at a time, a least-squares
 solve, and Lawson-Hanson non-negative least squares. One relative pivot
-check, ``PIVOT_RTOL``, makes every rank decision (an append raises, NNLS
-skips the column); forming G squares the condition number of A. Factors
-are immutable; update operations return new factors.
+rule, ``_independent`` with ``PIVOT_RTOL``, makes every rank decision: an
+append raises, the batched test ``CholeskyFactor.admits`` rejects the
+candidate, NNLS skips the column. Forming G squares the condition number
+of A. Factors are immutable; update operations return new factors.
 """
 
 from __future__ import annotations
@@ -19,11 +20,17 @@ from .errors import DegenerateDesignError, SolverStallError
 # largest Gram diagonal means the column is dependent on the others.
 PIVOT_RTOL = 1e-12
 # NNLS dual feasibility: a variable may enter while its dual exceeds this
-# fraction of max(1, max|c|), c the correlations A.T b.
+# fraction of max|c|, c the correlations A.T b.
 NNLS_DUAL_RTOL = 1e-10
 # NNLS line-move floor: a passive coefficient a line move leaves at or below
 # this fraction of the largest coefficient after the move is set to zero.
 NNLS_FLOOR_RTOL = 1e-14
+
+
+def _independent(d2, max_diag):
+    """The pivot rule: a new diagonal ``d2`` is kept when it is finite and
+    exceeds ``PIVOT_RTOL`` times the largest Gram diagonal ``max_diag``."""
+    return np.isfinite(d2) & (d2 > PIVOT_RTOL * max_diag)
 
 
 class CholeskyFactor:
@@ -84,13 +91,28 @@ class CholeskyFactor:
         else:
             w = np.zeros(0)
             d2 = diag
-        if not np.isfinite(d2) or d2 <= PIVOT_RTOL * max_diag:
+        if not _independent(d2, max_diag):
             raise DegenerateDesignError(column=k)
         new = np.zeros((k + 1, k + 1))
         new[:k, :k] = self._L
         new[k, :k] = w
         new[k, k] = np.sqrt(d2)
         return CholeskyFactor(new, max_diag)
+
+    def admits(self, gram_rows: np.ndarray) -> np.ndarray:
+        """Which of m candidate columns ``append_column`` would accept.
+
+        Column i of ``gram_rows`` (k + 1 by m) is the gram row that
+        ``append_column`` would take for candidate i. One triangular solve
+        gives every candidate's new pivot, judged by the same rule.
+        """
+        gram_rows = np.asarray(gram_rows, dtype=float)
+        k = self.size
+        if gram_rows.ndim != 2 or gram_rows.shape[0] != k + 1:
+            raise ValueError(f"expected gram rows with {k + 1} rows, got {gram_rows.shape}")
+        diag = gram_rows[k]
+        W = solve_triangular(self._L, gram_rows[:k], lower=True) if k else gram_rows[:0]
+        return _independent(diag - np.einsum("ij,ij->j", W, W), np.maximum(self._max_diag, diag))
 
     def drop_column(self, index: int) -> "CholeskyFactor":
         """Return the factor of the Gram with one variable removed.
@@ -151,7 +173,7 @@ def _passive_factor(G: np.ndarray, passive: list[int]):
         block = G[np.ix_(passive, passive)]
         L, info = dpotrf(block, lower=1)
         k = info - 1 if info > 0 else len(passive)
-        ok = np.diag(L)[:k] ** 2 > PIVOT_RTOL * np.maximum.accumulate(np.diag(block))[:k]
+        ok = _independent(np.diag(L)[:k] ** 2, np.maximum.accumulate(np.diag(block))[:k])
         bad = k if ok.all() else int(np.argmin(ok))
         if bad == len(passive):
             return passive, L
@@ -172,14 +194,15 @@ def solve_nnls_gram(
     ``PIVOT_RTOL`` check depends on P and is skipped for that iteration
     (Lawson-Hanson step 6). ``max_pivots`` caps support changes (default
     ``10 n``; then SolverStallError); ``tol`` defaults to NNLS_DUAL_RTOL
-    times max(1, max|c|); ``initial_support`` is a warm start, trimmed to
-    feasibility before the dual iteration takes over.
+    times max|c|, so scaling b leaves every decision unchanged;
+    ``initial_support`` is a warm start, trimmed to feasibility before the
+    dual iteration takes over.
     """
     G = np.asarray(G, dtype=float)
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     max_pivots = 10 * n if max_pivots is None else max_pivots
-    tol = NNLS_DUAL_RTOL * max(1.0, float(np.max(np.abs(c)))) if tol is None else tol
+    tol = NNLS_DUAL_RTOL * float(np.max(np.abs(c))) if tol is None else tol
     x = np.zeros(n)
     warm = dict.fromkeys(int(j) for j in initial_support or () if 0 <= int(j) < n)
     passive, L = _passive_factor(G, list(warm))

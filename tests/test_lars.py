@@ -419,3 +419,39 @@ class TestCollinearColumns:
                     assert np.max(np.abs(design.Xs.T @ r)) <= 1e-9 * np.linalg.norm(y)
                 else:  # p > n ends at the first zero-residual point
                     assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(y)
+
+
+class TestScaleInvariance:
+    """Every tolerance is relative: scaling y leaves the event sequence unchanged."""
+
+    @pytest.mark.parametrize("mode", ["lar", "lasso", "fs0"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_response_scale_keeps_events(self, mode, seed):
+        data = lp.gen_block(n=30, p=100, seed=seed)[0]
+        events = []
+        for scale in (1e-6, 1.0, 1e6):
+            design = standardize(lp.Dataset(X=data.X, y=data.y * scale))
+            path = solve_path(design.expanded(), SolverConfig(mode=mode))
+            events.append([(e.kind, e.index) for e in path.events])
+        assert events[0] == events[1] == events[2]
+
+
+class TestBatchedJoin:
+    def test_saturated_tie_is_screened_without_appends(self, monkeypatch):
+        calls = []
+        original = lp.CholeskyFactor.append_column
+
+        def counting(self, gram_row):
+            calls.append(self.size)
+            return original(self, gram_row)
+
+        monkeypatch.setattr(lp.CholeskyFactor, "append_column", counting)
+        design = standardize(lp.gen_block(n=30, p=100, seed=0)[0])
+        path = solve_path(design.expanded(), SolverConfig(mode="lar"))
+        # the last event ties all 142 remaining columns at the zero-residual point
+        assert [e.kind for e in path.events] == ["join"] * 29
+        assert [e.index for e in path.events] == [
+            81, 54, 87, 106, 52, 115, 96, 85, 179, 94, 23, 83, 9, 102, 59,
+            98, 3, 51, 69, 35, 139, 173, 91, 156, 120, 140, 95, 8, 0,
+        ]
+        assert len(calls) <= path.n_segments + 1

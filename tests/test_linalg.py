@@ -154,6 +154,43 @@ class TestCholeskyFactor:
             factor.append_column(np.array([1.0, 0.0, 1.0]))  # duplicate of column 0
 
 
+class TestBatchedRankTest:
+    """``CholeskyFactor.admits`` decides every candidate as ``append_column`` does."""
+
+    def _candidates(self, rng, A):
+        n, k = A.shape
+        cols = []
+        for _ in range(4):
+            combo = A @ rng.standard_normal(k)
+            cols += [combo, -combo, combo + 1e-7 * rng.standard_normal(n),
+                     combo + 1e-4 * rng.standard_normal(n)]
+        cols += [-A[:, j] for j in range(k)] + [A[:, 0]]
+        cols += [rng.standard_normal(n) for _ in range(4)]
+        return np.column_stack(cols)
+
+    def _appends(self, factor, gram_row):
+        try:
+            factor.append_column(gram_row)
+        except DegenerateDesignError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_append_column(self, seed):
+        rng = rng_for(700 + seed)
+        A = rng.standard_normal((12, 6)) * rng.uniform(0.1, 10.0, 6)
+        B = self._candidates(rng, A)
+        for k in (0, 3, 6):
+            factor = CholeskyFactor.from_gram(A[:, :k].T @ A[:, :k])
+            rows = np.vstack([A[:, :k].T @ B, np.sum(B * B, axis=0)])
+            expected = [self._appends(factor, rows[:, i]) for i in range(B.shape[1])]
+            assert factor.admits(rows).tolist() == expected
+            if k == 6:  # every combination and copy is rejected, the rest accepted
+                assert expected.count(True) == 4 + 4
+        with pytest.raises(ValueError):
+            factor.admits(rows[:-1])
+
+
 class TestNNLSGram:
     def _kkt_optimal(self, A, b, theta):
         _, best_obj = nnls_by_enumeration(A, b)
