@@ -184,8 +184,10 @@ class ExpandedDesign:
         those at ``others`` (columns; default: ``indices`` again)."""
         idx = np.asarray(indices, dtype=int)
         jdx = idx if others is None else np.asarray(others, dtype=int)
-        signs = np.outer(np.where(idx >= self.p, -1.0, 1.0), np.where(jdx >= self.p, -1.0, 1.0))
-        return self.base_gram()[np.ix_(idx % self.p, jdx % self.p)] * signs
+        block = self.base_gram().take(idx % self.p, 0).take(jdx % self.p, 1)
+        block[idx >= self.p] *= -1.0
+        block[:, jdx >= self.p] *= -1.0
+        return block
 
     def gram_entries(self, a: int, others) -> np.ndarray:
         """Inner products of expanded column a with other expanded columns."""

@@ -30,7 +30,7 @@ from .errors import (
     InternalConsistencyError,
     StepBudgetError,
 )
-from .linalg import CholeskyFactor, solve_nnls_gram
+from .linalg import CholeskyFactor, nnls_continue
 from .path import (
     EVENT_DROP,
     EVENT_FULL_LS,
@@ -101,23 +101,39 @@ def _unit_direction(p2: int, active, theta: np.ndarray) -> MoveDirection:
     total = float(theta.sum())
     if total <= 0.0:
         raise InternalConsistencyError("positive correlation but the move has no mass")
+    active = np.asarray(active, dtype=int)
     rho = np.zeros(p2)
     rho[active] = theta / total
-    return MoveDirection(rho, tuple(int(a) for a in active if rho[a] != 0.0))
+    return MoveDirection(rho, tuple(active[rho[active] != 0.0].tolist()))
 
 
-def _nnls_direction(design, active, c, weights=None, warm=None) -> MoveDirection:
+def _nnls_direction(
+    design, active, c, weights=None, factor=CholeskyFactor.empty(), passive=(), entering=()
+):
     """Unit-mass (weighted) non-negative least-squares move on the active columns.
 
-    ``c``: the active columns' correlations with the target. The Gram block
-    comes from the cached base Gram, or from the columns under ``weights``.
+    ``c``: every mirrored column's correlation with the target. Lawson-Hanson
+    continues from ``factor`` (immutable), the factor of the ``passive``
+    columns, after appending ``entering``. Gram entries come from the cached
+    base Gram, or from the active columns under ``weights``. Returns the
+    direction, and the factor and passive columns of its support.
     """
+    active = np.asarray(active, dtype=int)
     if weights is None:
-        G = design.gram_block(active)
+        gram = design.gram_block
     else:
         Xa = design.columns(active)
         G = Xa.T @ (weights[:, None] * Xa)
-    return _unit_direction(design.p2, active, solve_nnls_gram(G, c, initial_support=warm))
+        at = np.zeros(design.p2, dtype=int)
+        at[active] = np.arange(active.size)
+
+        def gram(rows, cols):
+            return G.take(at[rows], 0).take(at[cols], 1)
+
+    theta, factor, passive = nnls_continue(gram, c, active, factor, passive, entering)
+    mass = np.zeros(design.p2)
+    mass[passive] = theta
+    return _unit_direction(design.p2, active, mass[active]), factor, passive
 
 
 def lasso_move_direction(
@@ -160,18 +176,22 @@ def monotone_move_direction(
     if C <= zero_tolerance:
         return MoveDirection(np.zeros(design.p2), ())
     active = _tied_set(c, C, tie_tolerance)
-    return _nnls_direction(design, active, c[active])
+    return _nnls_direction(design, active, c)[0]
 
 
-def _scan_events(design, beta, c, C, rho, support, members, mode, stop_state):
-    """First event along beta + gamma * rho.
+def _scan_events(design, beta, r, r_floor, c, C, rho, support, members, mode, stop_state):
+    """First event along beta + gamma * rho from residual r.
 
     Correlations are linear in gamma: column j decays at rate
     d_j = x_j . (X rho). Every supported column decays proportionally,
     so the tied maximum decays at Delta = max over the support of d, and
     the catch-up step for an inactive column is (C - c_j) / (Delta - d_j).
     The mirror of a supported column would tie exactly at the
-    least-squares point, so it is excluded from the catch-up scan.
+    least-squares point, so it is excluded from the catch-up scan. Where
+    the least-squares point leaves a residual of at most ``r_floor`` (a
+    zero-residual fit, p >= n), every column catches up there; a catch-up
+    within TIE_TOLERANCE of it is then a join at that point, so neither
+    the label nor the step depends on rounding.
 
     Returns (gamma, kind, indices, v, d, Delta).
     """
@@ -199,9 +219,13 @@ def _scan_events(design, beta, c, C, rho, support, members, mode, stop_state):
             gammas = np.where(den > 0.0, num / den, np.inf)
         gammas[gammas <= gamma_eps] = np.inf
         gmin = float(np.min(gammas))
-        if gmin < best_gamma * (1.0 - 1e-12):
+        at_zero_residual = (
+            abs(gmin - gamma_c) <= TIE_TOLERANCE * gamma_c
+            and np.linalg.norm(r - gamma_c * v) <= r_floor
+        )
+        if at_zero_residual or gmin < gamma_c * (1.0 - 1e-12):
             tied = gammas <= gmin * (1.0 + TIE_TOLERANCE)
-            best_gamma = gmin
+            best_gamma = gamma_c if at_zero_residual else gmin
             kind = EVENT_JOIN
             indices = [int(j) for j in cand[tied]]
 
@@ -236,13 +260,15 @@ def next_event(design, beta, direction: MoveDirection, mode: str = "lasso") -> P
     beta = np.asarray(beta, dtype=float)
     if direction.is_zero:
         raise ValueError("direction is zero; no event ahead")
-    r = design.base.y_centered - design.predict(beta)
+    y = design.base.y_centered
+    r = y - design.predict(beta)
     c = design.correlations(r)
     C = float(c.max())
     members = np.zeros(design.p2, dtype=bool)
     members[_tied_set(c, C, TIE_TOLERANCE)] = True
     gamma, kind, indices, _, _, _ = _scan_events(
-        design, beta, c, C, direction.rho, direction.support, members, mode, None
+        design, beta, r, RESIDUAL_FLOOR * np.linalg.norm(y), c, C, direction.rho,
+        direction.support, members, mode, None,
     )
     index = indices[0] if indices else None
     return PathEvent(kind=kind, index=index, gamma=gamma, ell=gamma)
@@ -288,10 +314,15 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     barred = np.zeros(p2, dtype=bool)  # columns collinear with the active set
     active: list[int] = [int(a) for a in _tied_set(c, C, TIE_TOLERANCE)]
     members[active] = True
-    factor = CholeskyFactor.empty() if mode == "fs0" else _factor_active(design, active)
+    # lar and lasso keep the factor of the active set. fs0 keeps the factor
+    # of the passive set of its last NNLS fit, whose columns carry the move;
+    # the first fit appends the starting tie to an empty one.
+    if mode == "fs0":
+        factor, passive, entering = CholeskyFactor.empty(), (), active
+    else:
+        factor = _factor_active(design, active)
     max_steps = cfg.max_steps if cfg.max_steps is not None else 16 * p2 + 64
     instant_drops = 0
-    prev_support: tuple[int, ...] = ()
 
     for _ in range(max_steps):
         if cfg.stop_l1_norm is not None and ell >= cfg.stop_l1_norm:
@@ -300,15 +331,17 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
             return rec.build()
         # Direction on the current active set.
         if mode == "fs0":
-            warm = [active.index(a) for a in prev_support if a in active]
-            direction = _nnls_direction(design, active, c[active], warm=warm)
+            direction, factor, passive = _nnls_direction(
+                design, active, c, factor=factor, passive=passive, entering=entering
+            )
+            entering = ()
         else:
             direction = _unit_direction(p2, active, factor.solve_gram(c[active]))
         rho, support = direction.rho, direction.support
 
         gamma, kind, indices, v, d, Delta = _scan_events(
-            design, beta, c, C, rho, support, members | barred, mode,
-            (ell, cfg.stop_l1_norm, cfg.stop_lambda),
+            design, beta, r, RESIDUAL_FLOOR * y_norm, c, C, rho, support, members | barred,
+            mode, (ell, cfg.stop_l1_norm, cfg.stop_lambda),
         )
         index = indices[0] if indices else None
 
@@ -341,7 +374,6 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         C = C_new
 
         rec.append(ell, beta, support, PathEvent(kind=kind, index=index, gamma=gamma, ell=ell))
-        prev_support = support
 
         if kind in (EVENT_FULL_LS, EVENT_STOP_NORM, EVENT_STOP_LAMBDA):
             return rec.build()
@@ -357,12 +389,18 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
             factor = factor.drop_column(pos)
             active.pop(pos)
             members[index] = False
+        elif kind == EVENT_JOIN and mode == "fs0":
+            # The next NNLS fit appends the catchers to its factor; one that
+            # depends on the factor's columns gets no weight there.
+            entering = indices
+            active += indices
+            members[indices] = True
         elif kind == EVENT_JOIN:
             # A catcher in the span of the active columns (typical once the
             # active set saturates the sample size, where every remaining
             # column ties) cannot carry an independent move: it is barred
             # with its mirror and the active direction continues unchanged.
-            if mode != "fs0" and len(indices) > 1:
+            if len(indices) > 1:
                 # One batched rank test against the factor at the start of
                 # the event. Appends only shrink a candidate's pivot, so a
                 # column failing here fails the append below too; survivors
@@ -373,12 +411,11 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
                 barred[np.concatenate([cand[~ok], (cand[~ok] + design.p) % p2])] = True
                 indices = [int(j) for j in cand[ok]]
             for j in indices:
-                if mode != "fs0":
-                    try:
-                        factor = _append_factor(design, factor, active, j)
-                    except DegenerateDesignError:
-                        barred[[j, (j + design.p) % p2]] = True
-                        continue
+                try:
+                    factor = _append_factor(design, factor, active, j)
+                except DegenerateDesignError:
+                    barred[[j, (j + design.p) % p2]] = True
+                    continue
                 active.append(j)
                 members[j] = True
 

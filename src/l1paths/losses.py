@@ -8,9 +8,16 @@ w = d2l/d(eta)2 >= 0. The total model loss is the sum over observations.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError
+
+
+def expit(z):
+    """The logistic function 1 / (1 + e^-z), split by sign so that no
+    exponent is positive: e^-|z| / (1 + e^-|z|) for z < 0."""
+    z = np.asarray(z, dtype=float)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 class LossModel:

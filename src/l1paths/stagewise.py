@@ -178,7 +178,7 @@ def glm_move_direction(
             "second-derivative weights collapsed to zero; reduce the step size"
         )
     active = _tied_set(g, C, tie_tolerance)
-    return _nnls_direction(design, active, g[active], weights=w)
+    return _nnls_direction(design, active, g, weights=w)[0]
 
 
 @dataclass

@@ -3,13 +3,15 @@
 Everything here deliberately avoids the package's solver code paths:
 least squares by explicit Gram inversion, non-negative least squares by
 support enumeration, the L1-penalized problem by coordinate descent,
-and path events by scanning correlations on a fine grid.
+path events by scanning correlations on a fine grid, and path vertices
+by an exact-arithmetic replay at 40 digits.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+import mpmath
 import numpy as np
 
 import l1paths as lp
@@ -154,3 +156,73 @@ def sup_distance(path_a, path_b, upto=None, points=400):
     ca = lp.collapse(path_a.evaluate(grid))
     cb = lp.collapse(path_b.evaluate(grid))
     return float(np.max(np.abs(ca - cb)))
+
+
+def replay_vertices(design, path, dps=40):
+    """The vertices of an exact path, recomputed at ``dps`` significant digits.
+
+    From zero, each segment takes the path's own support
+    (``segment_active_sets``) and event. The direction is the
+    least-squares fit of the residual on the support's signed columns,
+    scaled to unit mass; the step follows from the event kind: the
+    catch-up of the joining column, the zero crossing of the dropping
+    one, or the least-squares point (a stop event keeps the path's step).
+    The standardized data enter as the exact values of their floats.
+    """
+    design = design.expanded() if isinstance(design, lp.StandardizedDesign) else design
+    p = design.p
+
+    def sign(a):
+        return 1 if a < p else -1
+
+    with mpmath.workdps(dps):
+        cols = [[mpmath.mpf(float(v)) for v in design.base.Xs[:, j]] for j in range(p)]
+        xty = [mpmath.fdot(col, [mpmath.mpf(float(v)) for v in design.base.y_centered])
+               for col in cols]
+        rows = {}
+
+        def gram(i, j):
+            if i not in rows:
+                rows[i] = [mpmath.fdot(cols[i], col) for col in cols]
+            return rows[i][j]
+
+        def product(a, b):  # mirrored column a against a signed base vector b
+            return sign(a) * mpmath.fsum(gram(a % p, i) * v for i, v in b.items())
+
+        beta = [mpmath.mpf(0)] * (2 * p)
+        vertices = [np.zeros(2 * p)]
+        for support, event in zip(path.segment_active_sets, path.events):
+            signed = {}
+            for a in range(2 * p):
+                if beta[a] != 0:
+                    signed[a % p] = signed.get(a % p, 0) + sign(a) * beta[a]
+
+            def corr(a):
+                return sign(a) * xty[a % p] - product(a, signed)
+
+            S = list(support)
+            G = mpmath.matrix([[sign(a) * sign(b) * gram(a % p, b % p) for b in S] for a in S])
+            c_S = [corr(a) for a in S]
+            theta = mpmath.lu_solve(G, mpmath.matrix(c_S))
+            total = mpmath.fsum(theta)
+            rho = {a: theta[k] / total for k, a in enumerate(S)}
+            moving = {}
+            for a, v in rho.items():
+                moving[a % p] = moving.get(a % p, 0) + sign(a) * v
+            C = max(c_S)
+            Delta = max(product(a, moving) for a in S)
+            j = event.index
+            if event.kind == "join":
+                gamma = (C - corr(j)) / (Delta - product(j, moving))
+            elif event.kind == "drop":
+                gamma = -beta[j] / rho[j]
+            elif event.kind == "full_ls":
+                gamma = C / Delta
+            else:
+                gamma = mpmath.mpf(event.gamma)
+            for a, v in rho.items():
+                beta[a] += gamma * v
+            if event.kind == "drop":
+                beta[j] = mpmath.mpf(0)
+            vertices.append(np.array([float(v) for v in beta]))
+        return np.array(vertices)

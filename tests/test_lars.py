@@ -20,6 +20,7 @@ from oracles import (
     grid_scan_event,
     nnls_by_enumeration,
     orthonormal_design,
+    replay_vertices,
     rng_for,
     sup_distance,
 )
@@ -434,6 +435,37 @@ class TestScaleInvariance:
             path = solve_path(design.expanded(), SolverConfig(mode=mode))
             events.append([(e.kind, e.index) for e in path.events])
         assert events[0] == events[1] == events[2]
+
+    @pytest.mark.parametrize("mode", ["lar", "lasso", "fs0"])
+    @pytest.mark.parametrize("scaled, seed", [("X", 0), ("X", 1), ("X", 2), ("X", 3), ("y", 3)])
+    def test_scale_keeps_events(self, mode, scaled, seed):
+        """Also scaling X, whose rounding used to pick the label of the final,
+        zero-residual event of these p > n paths."""
+        data = lp.gen_block(n=30, p=100, seed=seed)[0]
+        events = []
+        for scale in (1e-6, 1.0, 1e6):
+            X, y = (data.X * scale, data.y) if scaled == "X" else (data.X, data.y * scale)
+            path = solve_path(standardize(lp.Dataset(X=X, y=y)).expanded(), SolverConfig(mode=mode))
+            events.append([(e.kind, e.index) for e in path.events])
+        assert events[0] == events[1] == events[2]
+        assert events[1][-1][0] == "join"
+
+
+class TestReplay:
+    """Vertices agree with an exact-arithmetic replay of the path's own supports and events."""
+
+    @pytest.mark.parametrize("mode", ["lar", "lasso", "fs0"])
+    @pytest.mark.parametrize("design", [
+        lp.gen_block(n=12, p=30, block=5, seed=0)[0],
+        lp.gen_block(n=12, p=30, block=5, rho=0.99, seed=1)[0],
+        gen_sine(n=60, seed=0),
+    ], ids=["block", "block_rho99", "sine"])
+    def test_vertices_match_replay(self, mode, design):
+        design = standardize(design)
+        path = solve_path(design.expanded(), SolverConfig(mode=mode))
+        V = path.vertices
+        error = np.max(np.abs(replay_vertices(design, path) - V))
+        assert error <= 1e-10 * max(1.0, np.abs(V).max())
 
 
 class TestBatchedJoin:

@@ -231,3 +231,76 @@ class TestNNLSGram:
             np.testing.assert_allclose(
                 solve_nnls_gram(A.T @ A, A.T @ b), solve_nnls(A, b), rtol=0, atol=1e-12
             )
+
+
+class TestFactorUpdates:
+    """Appends and drops keep T = L^-1 and L L^T = G on the kept columns."""
+
+    @pytest.mark.parametrize("noise", [1e-5, 1e-7])
+    def test_random_appends_and_drops(self, noise):
+        for seed in range(20):
+            rng = rng_for(900 + seed)
+            A = rng.standard_normal((30, 16)) * rng.uniform(0.1, 10.0, 16)
+            for j in range(10, 16):  # near-combinations of the first three columns
+                A[:, j] = A[:, :3] @ rng.standard_normal(3)
+                A[:, j] += noise * np.linalg.norm(A[:, 0]) * rng.standard_normal(30)
+            G = A.T @ A
+            factor, cols = CholeskyFactor.empty(), []
+            for _ in range(60):
+                op = int(rng.integers(3)) if len(cols) >= 3 else 0
+                if op == 0:
+                    outside = [j for j in range(16) if j not in cols]
+                    if not outside:
+                        continue
+                    j = int(rng.choice(outside))
+                    try:
+                        factor = factor.append_column(G[cols + [j], j])
+                    except DegenerateDesignError:
+                        continue
+                    cols.append(j)
+                elif op == 1:
+                    i = int(rng.integers(len(cols)))
+                    factor = factor.drop_column(i)
+                    cols.pop(i)
+                else:
+                    gone = rng.choice(len(cols), int(rng.integers(1, 4)), replace=False)
+                    factor = factor.drop_columns(gone)
+                    cols = [c for i, c in enumerate(cols) if i not in gone]
+                L, T = factor.L, factor.T
+                kept = G[np.ix_(cols, cols)]
+                scale = np.linalg.norm(T, 2) * np.linalg.norm(L, 2) if cols else 1.0
+                assert np.max(np.abs(T @ L - np.eye(len(cols))), initial=0.0) <= 1e-12 * scale
+                assert np.max(np.abs(L @ L.T - kept), initial=0.0) <= (
+                    1e-12 * np.max(np.abs(kept), initial=0.0))
+                assert np.array_equal(T, np.tril(T))
+
+    def test_drop_columns_equals_single_drops(self):
+        rng = rng_for(950)
+        A = rng.standard_normal((20, 8))
+        factor = CholeskyFactor.from_gram(A.T @ A)
+        one_by_one = factor.drop_column(6).drop_column(4).drop_column(1)
+        at_once = factor.drop_columns([1, 4, 6])
+        np.testing.assert_allclose(at_once.L, one_by_one.L, rtol=0, atol=1e-12)
+        with pytest.raises(IndexError):
+            factor.drop_columns([8])
+
+
+class TestNNLSWarmStart:
+    def test_initial_support_gives_the_same_theta(self):
+        """A random warm start reaches the cold start's theta where the optimum is
+        unique (full column rank), and its objective where it is not (m < n)."""
+        for seed in range(1000):
+            rng = rng_for(seed)
+            m = int(rng.integers(3, 9))
+            n = int(rng.integers(1, 5))
+            A = rng.standard_normal((m, n))
+            b = rng.standard_normal(m)
+            G, c = A.T @ A, A.T @ b
+            cold = solve_nnls_gram(G, c)
+            support = list(rng.permutation(n)[: int(rng.integers(0, n + 1))])
+            warm = solve_nnls_gram(G, c, initial_support=support)
+            if m >= n:
+                np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-12)
+            else:
+                r_warm, r_cold = b - A @ warm, b - A @ cold
+                assert abs(r_warm @ r_warm - r_cold @ r_cold) <= 1e-12 * (b @ b)

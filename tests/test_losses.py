@@ -1,7 +1,11 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
 from l1paths import DataError, logistic_loss, squared_error_loss
+from l1paths.losses import expit
 from oracles import central_difference, rng_for
 
 
@@ -79,3 +83,22 @@ class TestSquaredError:
             e[j] = h
             fd = (total(beta + e) - total(beta - e)) / (2 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+class TestExpit:
+    z = np.concatenate([np.linspace(-40.0, 40.0, 2001), np.linspace(-800.0, 800.0, 161),
+                        [-745.0, -709.8, 1e-300, -1e-300, 709.8, 745.0]])
+
+    def test_matches_high_precision_reference(self):
+        with mpmath.workdps(50):
+            exact = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(v)))) for v in self.z])
+        got = expit(self.z)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - exact) <= 3 * eps * exact)
+
+    def test_no_overflow_and_symmetric(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(expit(np.array([-800.0, 800.0])), [0.0, 1.0])
+            total = expit(self.z) + expit(-self.z)
+        assert np.max(np.abs(total - 1.0)) <= np.finfo(float).eps
