@@ -1,4 +1,9 @@
-"""Exception types shared across the solver suite."""
+"""Exception types shared across the solver suite.
+
+Classes with their own ``__init__`` also define ``__reduce__``, so that
+an error pickled by a process-pool worker comes back with the same
+message and fields.
+"""
 
 
 class L1PathError(Exception):
@@ -22,6 +27,9 @@ class ZeroVarianceError(DataError):
         label = name if name is not None else f"column {column}"
         super().__init__(f"cannot standardize {label}: zero variance after centering")
 
+    def __reduce__(self):
+        return type(self), (self.column, self.name)
+
 
 class EmptyColumnError(DataError):
     """A generated basis column is identically zero."""
@@ -29,6 +37,9 @@ class EmptyColumnError(DataError):
     def __init__(self, knot, message):
         self.knot = knot
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.knot, str(self))
 
 
 class TiedKnotError(DataError):
@@ -45,6 +56,9 @@ class DegenerateDesignError(L1PathError):
             message = f"design is numerically rank deficient{where}"
         super().__init__(message)
 
+    def __reduce__(self):
+        return type(self), (self.column, str(self))
+
 
 class SolverStallError(L1PathError):
     """An active-set solver exhausted its pivot budget without converging."""
@@ -56,6 +70,9 @@ class StepBudgetError(L1PathError):
     def __init__(self, message, path=None):
         self.path = path
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (str(self), self.path)
 
 
 class StepSizeError(L1PathError):

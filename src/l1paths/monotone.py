@@ -7,7 +7,13 @@ non-negative row sums: S (X_A' X_A)^{-1} S 1 >= 0. This module checks
 one signed subset, searches all of them, and provides the closed-form
 Gram and inverse Gram of standardized step-function (threshold
 indicator) bases, for which the condition always holds.
-"""
+
+The search evaluates the subsets of one size in batches: one stacked
+inverse per batch of 256 subsets and, since v(-s) = v(s), only the sign
+vectors that start with +1. Its memory is bounded by one batch and one
+size's index array. It returns the first violation in a fixed canonical
+order, or raises for the first singular subset before any violation,
+whatever the number of worker processes."""
 
 from __future__ import annotations
 
@@ -85,22 +91,69 @@ def _sign_matrix(k: int) -> np.ndarray:
     return np.array(list(product((1.0, -1.0), repeat=k)))
 
 
-def _scan_chunk(gram: np.ndarray, subsets: list[tuple[int, ...]]):
-    """First violating signed subset among the given subsets, or None."""
-    for pos, idx in enumerate(subsets):
-        sub = gram[np.ix_(idx, idx)]
+_BATCH = 256  # subsets per stacked inverse
+_BATCH_ENTRIES = 1 << 18  # cap on subsets x sign rows x k of one batch's vectors
+
+
+def _first_violation(M: np.ndarray, signs: np.ndarray):
+    """First (member, signs, vector) violating in a stack of inverses, or None."""
+    V = _subset_vectors(M, signs)
+    if not (V < _MIN_ENTRY).any():  # one pass over the batch; rows only on a hit
+        return None
+    bad = np.flatnonzero(V.min(axis=2) < _MIN_ENTRY)
+    if not bad.size:
+        return None
+    member, row = divmod(int(bad[0]), len(signs))
+    return member, tuple(int(s) for s in signs[row]), V[member, row].copy()
+
+
+def _first_singular(stack: np.ndarray) -> int:
+    for i, sub in enumerate(stack):
+        try:
+            np.linalg.inv(sub)
+        except np.linalg.LinAlgError:
+            return i
+
+
+def _scan(gram: np.ndarray, subsets: np.ndarray, signs: np.ndarray):
+    """First violation among index rows of one size, in row order, or None.
+
+    Raises DegenerateDesignError for the first singular subset when no
+    violation comes before it.
+    """
+    k = subsets.shape[1]
+    step = max(1, min(_BATCH, _BATCH_ENTRIES // (len(signs) * k)))
+    for start in range(0, len(subsets), step):
+        J = subsets[start:start + step]
+        sub = gram[J[:, :, None], J[:, None, :]]
+        singular = None
         try:
             M = np.linalg.inv(sub)
         except np.linalg.LinAlgError:
-            raise DegenerateDesignError(
-                message=f"columns {idx} have a singular Gram matrix"
-            ) from None
-        signs = _sign_matrix(len(idx))
-        V = _subset_vectors(M, signs)
-        bad = np.flatnonzero(V.min(axis=1) < _MIN_ENTRY)
-        if bad.size:
-            row = int(bad[0])
-            return pos, tuple(int(s) for s in signs[row]), V[row]
+            singular = _first_singular(sub)
+            M = np.linalg.inv(sub[:singular])
+        found = _first_violation(M, signs)
+        if found is not None:
+            member, s, vec = found
+            return start + member, s, vec
+        if singular is not None:
+            idx = tuple(int(j) for j in J[singular])
+            raise DegenerateDesignError(message=f"columns {idx} have a singular Gram matrix")
+    return None
+
+
+def _scan_pool(pool, workers: int, gram: np.ndarray, subsets: np.ndarray, signs: np.ndarray):
+    """``_scan`` on about ``4 * workers`` chunks of whole batches in a process pool."""
+    size = -(-len(subsets) // (4 * workers * _BATCH)) * _BATCH
+    futures = [(start, pool.submit(_scan, gram, subsets[start:start + size], signs))
+               for start in range(0, len(subsets), size)]
+    # Chunks are in canonical order, so the first one with an outcome (a
+    # violation, or a singular subset raised in the worker) decides.
+    for start, fut in futures:
+        found = fut.result()
+        if found is not None:
+            pos, s, vec = found
+            return start + pos, s, vec
     return None
 
 
@@ -114,8 +167,23 @@ def exhaustive_check(
 
     Subsets are visited in size order, then lexicographically by index
     tuple; signs with +1 before -1 position by position. The first
-    violation in that canonical order is returned, so the result does
-    not depend on the number of workers.
+    violation in that canonical order is returned. If a subset's Gram
+    matrix is singular (``np.linalg.inv`` fails) before any violation,
+    DegenerateDesignError names that subset. Either result, and the
+    error's message, does not depend on ``workers``.
+
+    The subsets of one size k are built as one (m, k) index array, one
+    size at a time, so a violation also skips the larger sizes. They are
+    evaluated in batches of up to 256: one gather of their Gram blocks,
+    one stacked inverse, and the vectors of every sign row at once. Only
+    the 2^(k-1) sign rows with s_1 = +1 are evaluated: v(-s) equals v(s)
+    exactly (negation is exact in floating point) and -s comes later in
+    canonical order, so the first violation is always among them. A
+    batch holds at most 256 subsets and 2^18 vector entries (or a single
+    subset, if its sign rows alone exceed that), so peak memory is
+    bounded by the batch and one size's index array. With
+    ``workers > 1`` a size with more than one batch of subsets is split
+    into chunks of whole batches across a process pool.
 
     Refuses to start (CheckBudgetError) if the total count of signed
     subsets exceeds ``check_budget``.
@@ -132,33 +200,24 @@ def exhaustive_check(
         workers = int(os.environ.get("L1PATHS_THREADS", "1"))
 
     gram = design.Xs.T @ design.Xs
-    subsets: list[tuple[int, ...]] = []
-    for k in range(1, kmax + 1):
-        subsets.extend(combinations(range(p), k))
-
-    if workers <= 1 or len(subsets) < 64:
-        hit = _scan_chunk(gram, subsets)
-    else:
-        hit = None
-        chunks = np.array_split(np.arange(len(subsets)), workers * 4)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for chunk in chunks:
-                if chunk.size == 0:
-                    continue
-                part = [subsets[i] for i in chunk]
-                futures.append((int(chunk[0]), pool.submit(_scan_chunk, gram, part)))
-            for offset, fut in futures:
-                found = fut.result()
-                if found is not None:
-                    pos, signs, vec = found
-                    if hit is None or offset + pos < hit[0]:
-                        hit = (offset + pos, signs, vec)
-    if hit is None:
-        return SearchReport(passed=True, violation=None, vector=None, checked=total)
-    pos, signs, vec = hit
-    sub = SignedSubset(indices=subsets[pos], signs=signs)
-    return SearchReport(passed=False, violation=sub, vector=vec, checked=total)
+    pool = None
+    try:
+        for k in range(1, kmax + 1):
+            subsets = np.fromiter(combinations(range(p), k), dtype=(np.intp, k), count=comb(p, k))
+            signs = _sign_matrix(k)[: 2 ** (k - 1)]
+            if workers <= 1 or len(subsets) <= _BATCH:
+                hit = _scan(gram, subsets, signs)
+            else:
+                pool = pool or ProcessPoolExecutor(max_workers=workers)
+                hit = _scan_pool(pool, workers, gram, subsets, signs)
+            if hit is not None:
+                pos, s, vec = hit
+                sub = SignedSubset(indices=tuple(int(j) for j in subsets[pos]), signs=s)
+                return SearchReport(passed=False, violation=sub, vector=vec, checked=total)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return SearchReport(passed=True, violation=None, vector=None, checked=total)
 
 
 def _validate_counts(knot_counts, n: int) -> np.ndarray:

@@ -9,7 +9,8 @@ by an exact-arithmetic replay at 40 digits.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import mpmath
 import numpy as np
@@ -226,3 +227,25 @@ def replay_vertices(design, path, dps=40):
                 beta[j] = mpmath.mpf(0)
             vertices.append(np.array([float(v) for v in beta]))
         return np.array(vertices)
+
+
+def first_violation_by_enumeration(design, kmax):
+    """The first signed subset with S G_A^{-1} S 1 < -1e-10, by enumeration.
+
+    Walks subsets by size, then lexicographically, and for each one all
+    2^k sign vectors (+1 before -1, position by position), computing
+    v = s * solve(G_A, s) for every sign vector. Returns a SearchReport
+    in the form ``exhaustive_check`` gives.
+    """
+    gram = design.Xs.T @ design.Xs
+    p = design.p
+    checked = sum(comb(p, k) * 2**k for k in range(1, kmax + 1))
+    for k in range(1, kmax + 1):
+        signs = np.array(list(product((1.0, -1.0), repeat=k)))
+        for idx in combinations(range(p), k):
+            V = signs * np.linalg.solve(gram[np.ix_(idx, idx)], signs.T).T
+            for s, v in zip(signs, V):
+                if v.min() < -1e-10:
+                    sub = lp.SignedSubset(indices=idx, signs=tuple(int(x) for x in s))
+                    return lp.SearchReport(passed=False, violation=sub, vector=v, checked=checked)
+    return lp.SearchReport(passed=True, violation=None, vector=None, checked=checked)

@@ -1,3 +1,6 @@
+import pickle
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,8 @@ from l1paths import (
     pc_inverse_gram,
     standardize,
 )
-from oracles import orthonormal_design, rng_for
+from l1paths import monotone
+from oracles import first_violation_by_enumeration, orthonormal_design, rng_for
 
 
 def pc_design_from_counts(counts, n):
@@ -143,6 +147,144 @@ class TestExhaustiveCheck:
                 up = (steps >= -1e-10).all(axis=0)
                 down = (steps <= 1e-10).all(axis=0)
                 assert np.all(up | down)
+
+
+def search_designs():
+    """40 seeded designs, p from 3 to 10: Gaussian, correlated, |X|, step and hinge bases."""
+    designs = []
+    for i in range(8):
+        p = 3 + i
+        rng = rng_for(700 + i)
+        X = rng.standard_normal((30, p))
+        corr = X.copy()
+        corr[:, 1:] += 0.9 * corr[:, :1]
+        y = rng.standard_normal(30)
+        for kind, Z in (("gaussian", X), ("correlated", corr), ("abs", np.abs(X))):
+            designs.append((f"{kind}-{p}", standardize(lp.Dataset(X=Z, y=y))))
+        knots = np.sort(rng.choice(np.arange(1, 20), size=p, replace=False)) / 20.0
+        for basis in ("piecewise-constant", "piecewise-linear"):
+            data = gen_sine(n=60, basis=basis, knots=tuple(knots), seed=i)
+            designs.append((f"{basis}-{p}", standardize(data)))
+    return designs
+
+
+SEARCH_DESIGNS = search_designs()
+SEARCH_IDS = [name for name, _ in SEARCH_DESIGNS]
+
+
+def same_report(a, b):
+    return (a.passed == b.passed and a.violation == b.violation and a.checked == b.checked
+            and (a.vector is None) == (b.vector is None)
+            and (a.vector is None or np.array_equal(a.vector, b.vector)))
+
+
+def hadamard_design():
+    """Orthogonal integer columns plus the sum of the first two.
+
+    Columns (0, 1, 6) have an exactly singular Gram matrix and no signed
+    subset before them in canonical order violates the condition.
+    """
+    H = np.array([[1.0]])
+    for _ in range(3):
+        H = np.block([[H, H], [H, -H]])
+    X = np.column_stack([H[:, 1:7], H[:, 1] + H[:, 2]])
+    return lp.StandardizedDesign(Xs=X, centers=np.zeros(7), scales=np.ones(7),
+                                 y_centered=np.zeros(8), y_mean=0.0)
+
+
+def inv_fails(a):
+    try:
+        np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def singular_triple_designs(count):
+    """Integer designs whose columns (4, 5, 6) are exactly dependent, no pair singular."""
+    rng = np.random.default_rng(0)
+    designs = []
+    while len(designs) < count:
+        A = rng.integers(-3, 4, size=(12, 6)).astype(float)
+        X = np.column_stack([A, A[:, 4] + A[:, 5]])
+        G = X.T @ X
+        singular = [inv_fails(G[np.ix_(idx, idx)])
+                    for idx in [(4, 5, 6)] + list(combinations(range(7), 2))]
+        if singular[0] and not any(singular[1:]):
+            designs.append(lp.StandardizedDesign(Xs=X, centers=np.zeros(7), scales=np.ones(7),
+                                                 y_centered=np.zeros(12), y_mean=0.0))
+    return designs
+
+
+class TestSearchAgainstOracle:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name,design", SEARCH_DESIGNS, ids=SEARCH_IDS)
+    def test_matches_enumeration(self, name, design, workers):
+        ref = first_violation_by_enumeration(design, design.p)
+        rep = exhaustive_check(design, workers=workers)
+        assert (rep.passed, rep.violation, rep.checked) == (ref.passed, ref.violation, ref.checked)
+        if ref.vector is None:
+            assert rep.vector is None
+        else:
+            np.testing.assert_allclose(rep.vector, ref.vector,
+                                       rtol=1e-10, atol=1e-10 * np.abs(ref.vector).max())
+
+    def test_designs_cover_passes_and_violation_sizes(self):
+        reports = [exhaustive_check(d) for _, d in SEARCH_DESIGNS]
+        assert any(r.passed for r in reports)
+        sizes = {len(r.violation.indices) for r in reports if not r.passed}
+        assert sizes == {3, 4, 5, 6}
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_batch_size_does_not_change_report(self, batch, monkeypatch):
+        default = [exhaustive_check(d) for _, d in SEARCH_DESIGNS]
+        monkeypatch.setattr(monotone, "_BATCH", batch)
+        for (name, design), ref in zip(SEARCH_DESIGNS, default):
+            assert same_report(exhaustive_check(design), ref), name
+        pooled = exhaustive_check(SEARCH_DESIGNS[-1][1], workers=2)
+        assert same_report(pooled, default[-1])
+
+
+class TestSearchErrors:
+    @pytest.mark.parametrize("batch", [None, 1])
+    def test_pool_agrees_with_serial_on_singular_subsets(self, batch, monkeypatch):
+        # A later chunk's singular subset must not hide an earlier violation.
+        if batch is not None:
+            monkeypatch.setattr(monotone, "_BATCH", batch)
+        for design in singular_triple_designs(6):
+            outcomes = []
+            for workers in (1, 2):
+                try:
+                    rep = exhaustive_check(design, max_subset_size=4, workers=workers)
+                    outcomes.append((rep.passed, rep.violation, rep.vector.tolist()))
+                except lp.DegenerateDesignError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("batch", [None, 1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_singular_subset_raises_with_its_columns(self, workers, batch, monkeypatch):
+        if batch is not None:
+            monkeypatch.setattr(monotone, "_BATCH", batch)
+        with pytest.raises(lp.DegenerateDesignError) as err:
+            exhaustive_check(hadamard_design(), workers=workers)
+        assert str(err.value) == "columns (0, 1, 6) have a singular Gram matrix"
+
+    def test_errors_survive_pickling(self):
+        errors = [
+            lp.DegenerateDesignError(message="columns (4, 5, 6) have a singular Gram matrix"),
+            lp.DegenerateDesignError(column=3),
+            lp.DegenerateDesignError(),
+            lp.ZeroVarianceError(2),
+            lp.ZeroVarianceError(2, name="x2"),
+            lp.EmptyColumnError(0.5, "knot 0.5 gives an all-zero column"),
+            lp.StepBudgetError("step budget reached", path=[1, 2]),
+        ]
+        for err in errors:
+            back = pickle.loads(pickle.dumps(err))
+            assert type(back) is type(err)
+            assert str(back) == str(err)
+            assert vars(back) == vars(err)
 
 
 class TestAnalyticGram:
