@@ -90,7 +90,8 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--subset", help="comma-separated 0-based column indices")
     s.add_argument("--signs", help="comma-separated +1/-1 signs for --subset")
     s.add_argument("--max-subset", type=int, dest="max_subset")
-    s.add_argument("--workers", type=int)
+    s.add_argument("--workers", type=int,
+                   help="ignored; the search runs in one process")
     s.add_argument("--emit-violation", dest="emit_violation",
                    help="write the violating subset and vector to this JSON file")
 

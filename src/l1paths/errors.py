@@ -1,8 +1,8 @@
 """Exception types shared across the solver suite.
 
 Classes with their own ``__init__`` also define ``__reduce__``, so that
-an error pickled by a process-pool worker comes back with the same
-message and fields.
+an error that is pickled and unpickled comes back with the same message
+and fields.
 """
 
 

@@ -8,17 +8,15 @@ one signed subset, searches all of them, and provides the closed-form
 Gram and inverse Gram of standardized step-function (threshold
 indicator) bases, for which the condition always holds.
 
-The search evaluates the subsets of one size in batches: one stacked
-inverse per batch of 256 subsets and, since v(-s) = v(s), only the sign
-vectors that start with +1. Its memory is bounded by one batch and one
-size's index array. It returns the first violation in a fixed canonical
-order, or raises for the first singular subset before any violation,
-whatever the number of worker processes."""
+The search runs in the calling process and evaluates the subsets of one
+size in batches: one stacked inverse per batch of 256 subsets and, since
+v(-s) = v(s), only the sign vectors that start with +1. Its memory is
+bounded by one batch and one size's index array. It returns the first
+violation in a fixed canonical order, or raises for the first singular
+subset before any violation."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -26,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .design import StandardizedDesign
-from .errors import CheckBudgetError, DataError, DegenerateDesignError, TiedKnotError
+from .errors import CheckBudgetError, ConfigError, DataError, DegenerateDesignError, TiedKnotError
 
 
 @dataclass(frozen=True)
@@ -67,9 +65,13 @@ def check_condition(design: StandardizedDesign, subset: SignedSubset) -> Conditi
     """Row sums of the sign-adjusted inverse Gram for one signed subset.
 
     Returns the vector v = S (X_A' X_A)^{-1} S 1 and passes when its
-    smallest entry is at least -1e-10.
+    smallest entry is at least -1e-10. Raises DataError for an index
+    outside [0, p).
     """
     idx = list(subset.indices)
+    bad = [j for j in idx if not 0 <= j < design.p]
+    if bad:
+        raise DataError(f"column index {bad[0]} is out of range for {design.p} columns")
     Xa = design.Xs[:, idx]
     gram = Xa.T @ Xa
     try:
@@ -101,8 +103,6 @@ def _first_violation(M: np.ndarray, signs: np.ndarray):
     if not (V < _MIN_ENTRY).any():  # one pass over the batch; rows only on a hit
         return None
     bad = np.flatnonzero(V.min(axis=2) < _MIN_ENTRY)
-    if not bad.size:
-        return None
     member, row = divmod(int(bad[0]), len(signs))
     return member, tuple(int(s) for s in signs[row]), V[member, row].copy()
 
@@ -142,21 +142,6 @@ def _scan(gram: np.ndarray, subsets: np.ndarray, signs: np.ndarray):
     return None
 
 
-def _scan_pool(pool, workers: int, gram: np.ndarray, subsets: np.ndarray, signs: np.ndarray):
-    """``_scan`` on about ``4 * workers`` chunks of whole batches in a process pool."""
-    size = -(-len(subsets) // (4 * workers * _BATCH)) * _BATCH
-    futures = [(start, pool.submit(_scan, gram, subsets[start:start + size], signs))
-               for start in range(0, len(subsets), size)]
-    # Chunks are in canonical order, so the first one with an outcome (a
-    # violation, or a singular subset raised in the worker) decides.
-    for start, fut in futures:
-        found = fut.result()
-        if found is not None:
-            pos, s, vec = found
-            return start + pos, s, vec
-    return None
-
-
 def exhaustive_check(
     design: StandardizedDesign,
     max_subset_size: int | None = None,
@@ -169,8 +154,7 @@ def exhaustive_check(
     tuple; signs with +1 before -1 position by position. The first
     violation in that canonical order is returned. If a subset's Gram
     matrix is singular (``np.linalg.inv`` fails) before any violation,
-    DegenerateDesignError names that subset. Either result, and the
-    error's message, does not depend on ``workers``.
+    DegenerateDesignError names that subset.
 
     The subsets of one size k are built as one (m, k) index array, one
     size at a time, so a violation also skips the larger sizes. They are
@@ -181,14 +165,18 @@ def exhaustive_check(
     canonical order, so the first violation is always among them. A
     batch holds at most 256 subsets and 2^18 vector entries (or a single
     subset, if its sign rows alone exceed that), so peak memory is
-    bounded by the batch and one size's index array. With
-    ``workers > 1`` a size with more than one batch of subsets is split
-    into chunks of whole batches across a process pool.
+    bounded by the batch and one size's index array.
 
-    Refuses to start (CheckBudgetError) if the total count of signed
-    subsets exceeds ``check_budget``.
+    The search runs in the calling process. ``workers`` is accepted for
+    existing callers and ignored.
+
+    Raises ConfigError if ``max_subset_size`` is below 1, and refuses to
+    start (CheckBudgetError) if the total count of signed subsets
+    exceeds ``check_budget``.
     """
     p = design.p
+    if max_subset_size is not None and max_subset_size < 1:
+        raise ConfigError("max_subset_size must be at least 1")
     kmax = p if max_subset_size is None else min(max_subset_size, p)
     total = sum(comb(p, k) * 2**k for k in range(1, kmax + 1))
     if total > check_budget:
@@ -196,27 +184,15 @@ def exhaustive_check(
             f"{total} signed subsets exceed the budget of {check_budget}; "
             "raise check_budget to force the search"
         )
-    if workers is None:
-        workers = int(os.environ.get("L1PATHS_THREADS", "1"))
 
     gram = design.Xs.T @ design.Xs
-    pool = None
-    try:
-        for k in range(1, kmax + 1):
-            subsets = np.fromiter(combinations(range(p), k), dtype=(np.intp, k), count=comb(p, k))
-            signs = _sign_matrix(k)[: 2 ** (k - 1)]
-            if workers <= 1 or len(subsets) <= _BATCH:
-                hit = _scan(gram, subsets, signs)
-            else:
-                pool = pool or ProcessPoolExecutor(max_workers=workers)
-                hit = _scan_pool(pool, workers, gram, subsets, signs)
-            if hit is not None:
-                pos, s, vec = hit
-                sub = SignedSubset(indices=tuple(int(j) for j in subsets[pos]), signs=s)
-                return SearchReport(passed=False, violation=sub, vector=vec, checked=total)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for k in range(1, kmax + 1):
+        subsets = np.fromiter(combinations(range(p), k), dtype=(np.intp, k), count=comb(p, k))
+        hit = _scan(gram, subsets, _sign_matrix(k)[: 2 ** (k - 1)])
+        if hit is not None:
+            pos, s, vec = hit
+            sub = SignedSubset(indices=tuple(int(j) for j in subsets[pos]), signs=s)
+            return SearchReport(passed=False, violation=sub, vector=vec, checked=total)
     return SearchReport(passed=True, violation=None, vector=None, checked=total)
 
 

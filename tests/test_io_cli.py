@@ -247,6 +247,18 @@ class TestCli:
         assert doc["passed"] is False
         assert min(doc["vector"]) < 0
 
+    @pytest.mark.parametrize("argv,code,message", [
+        (("--subset=-1,0",), 3, "column index -1 is out of range for 10 columns"),
+        (("--subset", "0,99"), 3, "column index 99 is out of range for 10 columns"),
+        (("--max-subset", "0"), 2, "max_subset_size must be at least 1"),
+        (("--max-subset", "-2"), 2, "max_subset_size must be at least 1"),
+    ], ids=["negative_index", "index_past_end", "size_zero", "size_negative"])
+    def test_check_monotone_rejects_bad_subsets(self, sine_csv, capsys, argv, code, message):
+        got, stdout, err = self.run(capsys, "check-monotone", "--input", str(sine_csv), *argv)
+        assert got == code
+        assert err.strip().splitlines()[-1] == f"error: {message}"
+        assert '"passed"' not in stdout
+
     def test_simulate_reproducible_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         code1, out1, _ = self.run(capsys, "simulate", "--kind", "block", "--seed", "4",

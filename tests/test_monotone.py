@@ -1,5 +1,7 @@
+import concurrent.futures
 import pickle
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import l1paths as lp
 from l1paths import (
     CheckBudgetError,
+    ConfigError,
     DataError,
     SignedSubset,
     TiedKnotError,
@@ -64,6 +67,13 @@ class TestCheckCondition:
         with pytest.raises(lp.DegenerateDesignError):
             check_condition(design, SignedSubset((0, 1), (1, 1)))
 
+    @pytest.mark.parametrize("indices", [(-1, 0), (0, 10), (0, 99)])
+    def test_index_out_of_range_raises(self, indices):
+        design = standardize(gen_sine(basis="piecewise-linear", seed=0))
+        bad = indices[0] if indices[0] < 0 else indices[1]
+        with pytest.raises(DataError, match=f"column index {bad} is out of range for 10"):
+            check_condition(design, SignedSubset(indices, (1, 1)))
+
     def test_signed_subset_validation(self):
         with pytest.raises(ValueError):
             SignedSubset((0, 0), (1, 1))
@@ -98,6 +108,24 @@ class TestExhaustiveCheck:
         with pytest.raises(CheckBudgetError) as err:
             exhaustive_check(design, check_budget=100)
         assert "728" in str(err.value)  # 3^6 - 1 signed subsets
+
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_empty_search_refused(self, size):
+        design = orthonormal_design(40, 6, seed=3)
+        with pytest.raises(ConfigError, match="max_subset_size must be at least 1"):
+            exhaustive_check(design, max_subset_size=size)
+
+    def test_search_starts_no_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search started a process pool")
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
+        monkeypatch.setenv("L1PATHS_THREADS", "2")
+        design = pc_design_from_counts(range(14, 2, -1), 20)  # 12 knots: C(12, 4) = 495 subsets
+        expected = sum(comb(12, k) * 2**k for k in range(1, 5))
+        for kwargs in ({"workers": 2}, {}):
+            rep = exhaustive_check(design, max_subset_size=4, **kwargs)
+            assert (rep.passed, rep.violation, rep.vector, rep.checked) == (True, None, None, expected)
 
     def test_workers_agree_with_sequential(self):
         design = standardize(gen_sine(basis="piecewise-linear", seed=0))
