@@ -15,6 +15,12 @@ import numpy as np
 
 from .errors import DataError, ZeroVarianceError
 
+# A column is constant when its spread (max - min) is at most this fraction
+# of its largest |entry|. Relative to the column's own magnitude, so the
+# verdict does not depend on the units X is measured in, and exact for
+# constant columns of any size, zero included.
+ZERO_VARIANCE_RTOL = 1e-12
+
 
 @dataclass
 class Dataset:
@@ -100,18 +106,27 @@ class StandardizedDesign:
 def standardize(data: Dataset, center_response: bool = True) -> StandardizedDesign:
     """Standardize the columns of a dataset to mean zero, variance one.
 
-    Raises ZeroVarianceError naming the first constant column. With
+    Raises ZeroVarianceError naming the first constant column (see
+    ZERO_VARIANCE_RTOL), and DataError for a column whose standard
+    deviation over- or underflows in double precision. With
     ``center_response=False`` the response is kept raw (for 0/1
     responses used with a classification loss).
     """
-    centers = data.X.mean(axis=0)
-    Xc = data.X - centers
-    scales = np.sqrt((Xc**2).mean(axis=0))
-    bad = scales <= 1e-12 * np.maximum(1.0, np.abs(centers))
+    X = data.X
+    bad = X.max(axis=0) - X.min(axis=0) <= ZERO_VARIANCE_RTOL * np.abs(X).max(axis=0)
     if np.any(bad):
         j = int(np.flatnonzero(bad)[0])
         name = data.feature_names[j] if data.feature_names is not None else None
         raise ZeroVarianceError(j, name)
+    centers = X.mean(axis=0)
+    Xc = X - centers
+    with np.errstate(over="ignore"):
+        scales = np.sqrt((Xc**2).mean(axis=0))
+    unscalable = ~(np.isfinite(scales) & (scales > 0))
+    if np.any(unscalable):
+        j = int(np.flatnonzero(unscalable)[0])
+        label = data.feature_names[j] if data.feature_names is not None else f"column {j}"
+        raise DataError(f"cannot standardize {label}: its variance over- or underflows")
     if center_response:
         y_mean = float(data.y.mean())
     else:

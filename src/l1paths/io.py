@@ -3,6 +3,16 @@
 Numbers in CSV are written with 17 significant digits (enough to round
 trip a double exactly); JSON uses Python's shortest-round-trip float
 representation, so a JSON export reproduces vertices bit for bit.
+
+A path JSON file holds exactly the bytes of
+``json.dumps(path_to_dict(path, metadata), sort_keys=True, indent=1) + "\n"``;
+this layout is a contract, so identical paths give identical files.
+``write_path_json`` encodes every key but ``vertices`` (which sorts last)
+with the standard library, then writes the vertex matrix one row at a
+time, each row a run encoded by the C JSON encoder with the separators
+that reproduce the indented layout. The pure-Python encoder that any
+``indent`` selects never sees the vertex floats, and the nested list of
+all of them is never built.
 """
 
 from __future__ import annotations
@@ -87,14 +97,14 @@ def write_dataset_csv(data: Dataset, target) -> None:
     Path(target).write_text("\n".join(lines) + "\n")
 
 
-def path_to_dict(path: PiecewiseLinearPath, metadata: dict | None = None) -> dict:
+def _path_header(path: PiecewiseLinearPath, metadata: dict | None) -> dict:
+    # Every key of the path document except "vertices".
     return {
         "schema_version": SCHEMA_VERSION,
         "parametrization": path.parametrization,
         "p": path.p,
         "feature_names": path.feature_names,
-        "breakpoints": [float(b) for b in path.breakpoints],
-        "vertices": [[float(v) for v in row] for row in path.vertices],
+        "breakpoints": path.breakpoints.tolist(),
         "segment_active_sets": [list(s) for s in path.segment_active_sets],
         "events": [
             {"kind": e.kind, "index": e.index, "gamma": float(e.gamma), "ell": float(e.ell)}
@@ -103,6 +113,10 @@ def path_to_dict(path: PiecewiseLinearPath, metadata: dict | None = None) -> dic
         "truncated": path.truncated,
         "metadata": metadata or {},
     }
+
+
+def path_to_dict(path: PiecewiseLinearPath, metadata: dict | None = None) -> dict:
+    return {**_path_header(path, metadata), "vertices": path.vertices.tolist()}
 
 
 def path_from_dict(doc: dict) -> PiecewiseLinearPath:
@@ -119,10 +133,35 @@ def path_from_dict(doc: dict) -> PiecewiseLinearPath:
     )
 
 
+# Without ``indent`` the stdlib uses its C encoder; these separators put each
+# float of a vertex row on its own line at depth 3 of the indent-1 layout.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n   ", ": "))
+
+
+def _vertex_row(row: np.ndarray) -> str:
+    text = _ROW_ENCODER.encode(row.tolist())
+    return "[\n   " + text[1:-1] + "\n  ]" if row.size else text
+
+
 def write_path_json(path: PiecewiseLinearPath, target, metadata: dict | None = None) -> None:
-    Path(target).write_text(
-        json.dumps(path_to_dict(path, metadata), sort_keys=True, indent=1) + "\n"
-    )
+    """Write ``json.dumps(path_to_dict(path, metadata), sort_keys=True, indent=1) + "\n"``.
+
+    The header goes through ``json.dumps``; the vertex rows follow it,
+    streamed one C-encoded row at a time (see the module docstring).
+    """
+    header = _path_header(path, metadata)
+    assert all(key < "vertices" for key in header), "vertices must sort last"
+    text = json.dumps(header, sort_keys=True, indent=1)
+    with open(target, "w") as out:
+        out.write(text[:-2] + ',\n "vertices": ')
+        if not len(path.vertices):
+            out.write("[]\n}\n")
+            return
+        sep = "[\n  "
+        for row in path.vertices:
+            out.write(sep + _vertex_row(row))
+            sep = ",\n  "
+        out.write("\n ]\n}\n")
 
 
 def read_path_json(source) -> PiecewiseLinearPath:

@@ -13,7 +13,8 @@ size in batches: one stacked inverse per batch of 256 subsets and, since
 v(-s) = v(s), only the sign vectors that start with +1. Its memory is
 bounded by one batch and one size's index array. It returns the first
 violation in a fixed canonical order, or raises for the first singular
-subset before any violation."""
+subset before any violation, or for a violating subset that
+``check_condition`` would refuse as singular."""
 
 from __future__ import annotations
 
@@ -72,16 +73,22 @@ def check_condition(design: StandardizedDesign, subset: SignedSubset) -> Conditi
     bad = [j for j in idx if not 0 <= j < design.p]
     if bad:
         raise DataError(f"column index {bad[0]} is out of range for {design.p} columns")
-    Xa = design.Xs[:, idx]
+    gram = _subset_gram(design, subset.indices)
+    v = _subset_vectors(np.linalg.inv(gram), np.asarray(subset.signs, dtype=float))
+    return ConditionReport(subset=subset, vector=v, passed=bool(v.min() >= _MIN_ENTRY))
+
+
+def _subset_gram(design: StandardizedDesign, indices: tuple[int, ...]) -> np.ndarray:
+    """Gram block of some columns; DegenerateDesignError unless Cholesky succeeds."""
+    Xa = design.Xs[:, list(indices)]
     gram = Xa.T @ Xa
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise DegenerateDesignError(
-            message=f"columns {subset.indices} have a singular Gram matrix"
+            message=f"columns {indices} have a singular Gram matrix"
         ) from None
-    v = _subset_vectors(np.linalg.inv(gram), np.asarray(subset.signs, dtype=float))
-    return ConditionReport(subset=subset, vector=v, passed=bool(v.min() >= _MIN_ENTRY))
+    return gram
 
 
 def _subset_vectors(gram_inv_sub: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -154,7 +161,10 @@ def exhaustive_check(
     tuple; signs with +1 before -1 position by position. The first
     violation in that canonical order is returned. If a subset's Gram
     matrix is singular (``np.linalg.inv`` fails) before any violation,
-    DegenerateDesignError names that subset.
+    DegenerateDesignError names that subset. So it does for the violating
+    subset itself if its Gram block fails ``check_condition``'s Cholesky
+    test: ``inv`` succeeds on a numerically singular block, and the vector
+    it gives is rounding noise.
 
     The subsets of one size k are built as one (m, k) index array, one
     size at a time, so a violation also skips the larger sizes. They are
@@ -192,6 +202,7 @@ def exhaustive_check(
         if hit is not None:
             pos, s, vec = hit
             sub = SignedSubset(indices=tuple(int(j) for j in subsets[pos]), signs=s)
+            _subset_gram(design, sub.indices)  # raises where check_condition would
             return SearchReport(passed=False, violation=sub, vector=vec, checked=total)
     return SearchReport(passed=True, violation=None, vector=None, checked=total)
 

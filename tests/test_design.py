@@ -4,8 +4,10 @@ import pytest
 from l1paths import (
     DataError,
     Dataset,
+    SolverConfig,
     ZeroVarianceError,
     gen_sine,
+    solve_path,
     standardize,
 )
 from oracles import rng_for
@@ -40,6 +42,31 @@ class TestStandardize:
             standardize(Dataset(X=X, y=np.zeros(5), feature_names=["a", "b"]))
         assert err.value.column == 1
         assert "b" in str(err.value)
+
+    @pytest.mark.parametrize("k", [-13, -12, 0, 12])
+    def test_column_scale_does_not_decide_constancy(self, k):
+        data = gen_sine(seed=0)
+        ref = standardize(data)
+        design = standardize(Dataset(X=data.X * 10.0**k, y=data.y))
+        np.testing.assert_allclose(design.Xs, ref.Xs, rtol=0, atol=1e-12)
+        lasso = SolverConfig(mode="lasso")
+        events = [(e.kind, e.index) for e in solve_path(design.expanded(), lasso).events]
+        assert events == [(e.kind, e.index) for e in solve_path(ref.expanded(), lasso).events]
+
+    @pytest.mark.parametrize("value", [0.0, 2.0, -3.0, 1e300, -1e300, 1e-300, 1e-310])
+    @pytest.mark.parametrize("n", [5, 7, 20])
+    def test_constant_column_of_any_size_names_offender(self, value, n):
+        X = np.column_stack([np.arange(float(n)), np.full(n, value), np.arange(float(n))])
+        with pytest.raises(ZeroVarianceError) as err:
+            standardize(Dataset(X=X, y=np.zeros(n), feature_names=["a", "b", "c"]))
+        assert err.value.column == 1
+        assert "b" in str(err.value)
+
+    @pytest.mark.parametrize("value", [1e300, 1e-300])
+    def test_varying_column_beyond_double_range_raises(self, value):
+        X = np.column_stack([np.arange(20.0), value * (1.0 + np.arange(20.0))])
+        with pytest.raises(DataError, match="column 1: its variance over- or underflows"):
+            standardize(Dataset(X=X, y=np.zeros(20)))
 
     def test_invertible_via_stored_statistics(self):
         rng = rng_for(4)

@@ -11,7 +11,7 @@ import l1paths as lp
 from l1paths import SolverConfig, collapse, gen_sine, solve_path
 from l1paths import io as pio
 from l1paths.cli import main
-from oracles import gaussian_instance
+from oracles import gaussian_instance, rng_for
 
 
 @pytest.fixture
@@ -104,6 +104,77 @@ class TestPathSerialization:
         target.write_text(json.dumps({"schema_version": 99}))
         with pytest.raises(lp.DataError, match="schema"):
             pio.read_path_json(target)
+
+
+def stdlib_path_json(path, metadata=None):
+    return json.dumps(pio.path_to_dict(path, metadata), sort_keys=True, indent=1) + "\n"
+
+
+class TestPathJsonBytes:
+    """write_path_json writes exactly the stdlib's indent-1, sorted-key encoding."""
+
+    def assert_stdlib_bytes(self, path, target, metadata=None):
+        pio.write_path_json(path, target, metadata)
+        assert target.read_bytes() == stdlib_path_json(path, metadata).encode()
+
+    @pytest.mark.parametrize("mode", ["lar", "lasso", "fs0"])
+    @pytest.mark.parametrize("name", ["sine", "block"])
+    def test_exact_paths(self, name, mode, tmp_path):
+        data = gen_sine(seed=0) if name == "sine" else lp.gen_block(n=30, p=100, seed=0)[0]
+        path = solve_path(lp.standardize(data).expanded(), SolverConfig(mode=mode))
+        assert pio.path_to_dict(path)["vertices"] == [[float(v) for v in row]
+                                                      for row in path.vertices]
+        self.assert_stdlib_bytes(path, tmp_path / "p.json",
+                                 {"method": mode, "segments": path.n_segments})
+
+    def test_zero_segment_path(self, tmp_path):
+        data = gen_sine(seed=0)
+        design = lp.standardize(lp.Dataset(X=data.X, y=np.zeros(data.n)))
+        path = solve_path(design.expanded(), SolverConfig(mode="lasso"))
+        assert path.n_segments == 0
+        self.assert_stdlib_bytes(path, tmp_path / "p.json")
+
+    def test_truncated_stagewise_path(self, tmp_path):
+        design = lp.standardize(gen_sine(seed=0))
+        with pytest.warns(UserWarning, match="budget exhausted"):
+            path = lp.monotone_incremental(
+                design.expanded(),
+                lp.StagewiseConfig(epsilon=0.01, max_iterations=250, record_stride=7))
+        assert path.truncated
+        self.assert_stdlib_bytes(path, tmp_path / "p.json", {"method": "monotone"})
+
+    def test_escaped_feature_names(self, tmp_path):
+        data = gen_sine(n=40, seed=1)
+        names = ['quote "q"', "back\\slash", "new\nline", "gr\u00fc\u00dfe \u03b2", "\u6f22\u5b57",
+                 *[f"x{j}" for j in range(5, data.p)]]
+        design = lp.standardize(lp.Dataset(X=data.X, y=data.y, feature_names=names))
+        path = solve_path(design.expanded(), SolverConfig(mode="lasso"))
+        assert path.feature_names == names
+        target = tmp_path / "p.json"
+        self.assert_stdlib_bytes(path, target)
+        assert pio.read_path_json(target).feature_names == names
+
+    def test_metadata_values(self, tmp_path):
+        _, path = solved_path()
+        metadata = {"nested": {"b": {"deep": [1, 2.5, "three"]}, "a": []},
+                    "empty": [], "none": None, "flags": [True, False],
+                    "nan": float("nan"), "inf": [float("inf"), -float("inf")]}
+        self.assert_stdlib_bytes(path, tmp_path / "p.json", metadata)
+
+    def test_non_finite_and_signed_zero_vertices(self, tmp_path):
+        path = lp.PiecewiseLinearPath(
+            breakpoints=[0.0, 1.0],
+            vertices=[[0.0, -0.0, 5e-324, 1e300], [float("nan"), float("inf"), -float("inf"), 0.1]],
+            segment_active_sets=[(0,)], parametrization="l1_norm")
+        self.assert_stdlib_bytes(path, tmp_path / "p.json")
+
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0)], ids=["no_vertices", "no_coordinates"])
+    def test_empty_vertex_matrix(self, shape, tmp_path):
+        path = lp.PiecewiseLinearPath(breakpoints=np.arange(float(shape[0])),
+                                      vertices=np.zeros(shape),
+                                      segment_active_sets=[()] * max(shape[0] - 1, 0),
+                                      parametrization="l1_norm")
+        self.assert_stdlib_bytes(path, tmp_path / "p.json")
 
 
 class TestCsvMatchesMemory:
@@ -258,6 +329,17 @@ class TestCli:
         assert got == code
         assert err.strip().splitlines()[-1] == f"error: {message}"
         assert '"passed"' not in stdout
+
+    def test_check_monotone_refuses_numerically_singular_violation(self, tmp_path, capsys):
+        x = rng_for(2).standard_normal(20)
+        csv = tmp_path / "pair.csv"
+        pio.write_dataset_csv(lp.Dataset(X=np.column_stack([x, 2 * x + 1e-9]),
+                                         y=np.zeros(20)), csv)
+        code, stdout, err = self.run(capsys, "check-monotone", "--input", str(csv))
+        assert code == 4
+        assert err.strip().splitlines()[-1] == (
+            "error: columns (0, 1) have a singular Gram matrix")
+        assert [line for line in stdout.splitlines() if not line.startswith("config:")] == []
 
     def test_simulate_reproducible_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

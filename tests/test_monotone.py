@@ -289,6 +289,18 @@ class TestSearchErrors:
                     outcomes.append(str(err))
             assert outcomes[0] == outcomes[1]
 
+    def test_search_refuses_violation_on_numerically_singular_subset(self):
+        # inv succeeds on this pair's Gram block and gives a "violation" of
+        # about -5.6e14; check_condition's Cholesky test refuses the block.
+        x = rng_for(2).standard_normal(20)
+        design = standardize(lp.Dataset(X=np.column_stack([x, 2 * x + 1e-9]), y=np.zeros(20)))
+        with pytest.raises(lp.DegenerateDesignError) as err:
+            exhaustive_check(design)
+        assert str(err.value) == "columns (0, 1) have a singular Gram matrix"
+        with pytest.raises(lp.DegenerateDesignError) as same:
+            check_condition(design, SignedSubset((0, 1), (1, -1)))
+        assert str(same.value) == str(err.value)
+
     @pytest.mark.parametrize("batch", [None, 1, 2])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_singular_subset_raises_with_its_columns(self, workers, batch, monkeypatch):
