@@ -15,6 +15,12 @@ with the residual:
 A segment ends at the first of: an inactive column catching up to the
 active correlation, an active coefficient hitting zero (lasso), or the
 residual reaching the unrestricted least-squares fit.
+
+Along a segment the residual and every correlation are linear in the
+step, so ``solve_path`` carries them from vertex to vertex (covariance
+updates) and recomputes them from the coefficients only every
+``REFRESH_EVERY`` segments, near a stopping threshold, and at the end.
+Each such refresh checks the carried values against the exact ones.
 """
 
 from __future__ import annotations
@@ -51,6 +57,25 @@ TIE_TOLERANCE = 1e-9
 # (a zero-residual fit, reached when p >= n).
 CORRELATION_FLOOR = 1e-10
 RESIDUAL_FLOOR = 1e-10
+# A step of at most this fraction of the least-squares step C / Delta is no
+# step: a catch-up that short is ignored, and a drop that short is instant.
+MIN_STEP_RTOL = 1e-14
+# An event must come this fraction earlier than the one it displaces (a
+# catch-up before the least-squares point, a drop before a catch-up), and an
+# fs0 column without mass must decay this fraction faster than the tied
+# maximum to leave the active set.
+STRICT_RTOL = 1e-12
+# The drift guard, as a fraction of the starting maximal correlation C0:
+# after every segment the new maximum must equal C - gamma * Delta, and at
+# every exact refresh each carried correlation its exact value, to this band.
+DRIFT_RTOL = 1e-6
+# Segments between exact refreshes of the carried residual and correlations.
+REFRESH_EVERY = 16
+# kkt_certify scales its tolerance by max(lambda, KKT_FLOOR_RTOL * lambda_max),
+# lambda_max = max|X^T y|, and refuses a mirrored coefficient below
+# -KKT_NEGATIVE_RTOL * max|beta|.
+KKT_FLOOR_RTOL = 1e-3
+KKT_NEGATIVE_RTOL = 1e-12
 
 
 @dataclass
@@ -179,13 +204,14 @@ def monotone_move_direction(
     return _nnls_direction(design, active, c)[0]
 
 
-def _scan_events(design, beta, r, r_floor, c, C, rho, support, members, mode, stop_state):
+def _scan_events(design, beta, r, r_floor, c, C, rho, members, mode, stop_state):
     """First event along beta + gamma * rho from residual r.
 
     Correlations are linear in gamma: column j decays at rate
-    d_j = x_j . (X rho). Every supported column decays proportionally,
-    so the tied maximum decays at Delta = max over the support of d, and
-    the catch-up step for an inactive column is (C - c_j) / (Delta - d_j).
+    d_j = x_j . (X rho). Every supported column (rho_j != 0) decays
+    proportionally, so the tied maximum decays at Delta = max over the
+    support of d, and the catch-up step for an inactive column is
+    (C - c_j) / (Delta - d_j).
     The mirror of a supported column would tie exactly at the
     least-squares point, so it is excluded from the catch-up scan. Where
     the least-squares point leaves a residual of at most ``r_floor`` (a
@@ -197,19 +223,18 @@ def _scan_events(design, beta, r, r_floor, c, C, rho, support, members, mode, st
     """
     v = design.predict(rho)
     d = design.correlations(v)
-    Delta = float(np.max(d[list(support)]))
+    supported = rho != 0.0
+    Delta = float(d[supported].max())
     if not Delta > 0.0:
         raise InternalConsistencyError("move does not decay the active correlation")
     gamma_c = C / Delta
 
     p = design.p
-    gamma_eps = 1e-14 * gamma_c
+    gamma_eps = MIN_STEP_RTOL * gamma_c
 
     best_gamma, kind, indices = gamma_c, EVENT_FULL_LS, None
 
-    support_mask = np.zeros(design.p2, dtype=bool)
-    support_mask[list(support)] = True
-    excluded = members | np.concatenate([support_mask[p:], support_mask[:p]])  # mirrors
+    excluded = members | np.concatenate([supported[p:], supported[:p]])  # mirrors
 
     cand = np.flatnonzero(~excluded)
     if cand.size:
@@ -223,7 +248,7 @@ def _scan_events(design, beta, r, r_floor, c, C, rho, support, members, mode, st
             abs(gmin - gamma_c) <= TIE_TOLERANCE * gamma_c
             and np.linalg.norm(r - gamma_c * v) <= r_floor
         )
-        if at_zero_residual or gmin < gamma_c * (1.0 - 1e-12):
+        if at_zero_residual or gmin < gamma_c * (1.0 - STRICT_RTOL):
             tied = gammas <= gmin * (1.0 + TIE_TOLERANCE)
             best_gamma = gamma_c if at_zero_residual else gmin
             kind = EVENT_JOIN
@@ -234,10 +259,10 @@ def _scan_events(design, beta, r, r_floor, c, C, rho, support, members, mode, st
         if movers.size:
             gb = -beta[movers] / rho[movers]
             posb = int(np.argmin(gb))
-            if gb[posb] < best_gamma * (1.0 - 1e-12):
+            if gb[posb] < best_gamma * (1.0 - STRICT_RTOL):
                 best_gamma, kind, indices = float(gb[posb]), EVENT_DROP, [int(movers[posb])]
     elif mode == "fs0":
-        if np.any(rho < 0.0):
+        if (rho < 0.0).any():
             raise InternalConsistencyError("monotone direction has a negative component")
 
     if stop_state is not None:
@@ -268,7 +293,7 @@ def next_event(design, beta, direction: MoveDirection, mode: str = "lasso") -> P
     members[_tied_set(c, C, TIE_TOLERANCE)] = True
     gamma, kind, indices, _, _, _ = _scan_events(
         design, beta, r, RESIDUAL_FLOOR * np.linalg.norm(y), c, C, direction.rho,
-        direction.support, members, mode, None,
+        members, mode, None,
     )
     index = indices[0] if indices else None
     return PathEvent(kind=kind, index=index, gamma=gamma, ell=gamma)
@@ -300,12 +325,14 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     c = design.correlations(r)
     C = float(c.max())
     floor = CORRELATION_FLOOR * max(C, 1e-300)
+    r_floor = RESIDUAL_FLOOR * y_norm
+    drift_tol = DRIFT_RTOL * C
 
     rec = _PathRecorder(
         beta, "l1_arc_length" if mode == "fs0" else "l1_norm", design.base.feature_names
     )
 
-    if C <= floor or np.linalg.norm(r) <= RESIDUAL_FLOOR * y_norm:
+    if C <= floor or np.linalg.norm(r) <= r_floor:
         return rec.build()
     if cfg.stop_l1_norm is not None and cfg.stop_l1_norm <= 0:
         return rec.build()
@@ -323,6 +350,7 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         factor = _factor_active(design, active)
     max_steps = cfg.max_steps if cfg.max_steps is not None else 16 * p2 + 64
     instant_drops = 0
+    since_refresh = 0
 
     for _ in range(max_steps):
         if cfg.stop_l1_norm is not None and ell >= cfg.stop_l1_norm:
@@ -340,14 +368,14 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         rho, support = direction.rho, direction.support
 
         gamma, kind, indices, v, d, Delta = _scan_events(
-            design, beta, r, RESIDUAL_FLOOR * y_norm, c, C, rho, support, members | barred,
+            design, beta, r, r_floor, c, C, rho, members | barred,
             mode, (ell, cfg.stop_l1_norm, cfg.stop_lambda),
         )
         index = indices[0] if indices else None
 
         # A coefficient already at zero with an inward direction: drop it
         # and recompute without emitting a zero-length segment.
-        if kind == EVENT_DROP and gamma <= 1e-14 * (C / Delta):
+        if kind == EVENT_DROP and gamma <= MIN_STEP_RTOL * (C / Delta):
             instant_drops += 1
             if instant_drops > p2:
                 raise InternalConsistencyError("drop events are not making progress")
@@ -363,11 +391,37 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         if kind == EVENT_DROP:
             beta[index] = 0.0
         ell += gamma
-        r = y - design.predict(beta)
-        c = design.correlations(r)
-        C_new = float(c.max())
+        final = kind in (EVENT_FULL_LS, EVENT_STOP_NORM, EVENT_STOP_LAMBDA)
+        # Covariance update: the residual and the correlations move linearly.
+        r = r - gamma * v
+        c_carried = c - gamma * d
+        C_new = float(c_carried.max())
+        r_norm = np.linalg.norm(r)
+        since_refresh += 1
+        if (
+            since_refresh >= REFRESH_EVERY
+            or final
+            or (cfg.stop_l1_norm is not None and ell >= cfg.stop_l1_norm)
+            # near a stopping threshold, within the band the guard allows
+            or C_new <= floor + drift_tol
+            or r_norm <= r_floor + DRIFT_RTOL * y_norm
+            or (cfg.stop_lambda is not None and C_new <= cfg.stop_lambda + drift_tol)
+        ):
+            # Exact refresh, where the carried correlations must agree.
+            r = y - design.predict(beta)
+            c = design.correlations(r)
+            worst = float(np.max(np.abs(c - c_carried)))
+            if worst > drift_tol:
+                raise InternalConsistencyError(
+                    f"carried correlations drifted by {worst:.3e} from the exact ones"
+                )
+            C_new = float(c.max())
+            r_norm = np.linalg.norm(r)
+            since_refresh = 0
+        else:
+            c = c_carried
         expected = C - gamma * Delta
-        if abs(C_new - expected) > 1e-6 * max(C, 1.0):
+        if abs(C_new - expected) > drift_tol:
             raise InternalConsistencyError(
                 f"correlation ties broke down: max {C_new:.3e}, expected {expected:.3e}"
             )
@@ -375,14 +429,14 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
 
         rec.append(ell, beta, support, PathEvent(kind=kind, index=index, gamma=gamma, ell=ell))
 
-        if kind in (EVENT_FULL_LS, EVENT_STOP_NORM, EVENT_STOP_LAMBDA):
+        if final:
             return rec.build()
 
         # Membership updates for the next segment. In monotone mode a
         # coordinate that carried no mass decays faster than the tied
         # maximum and falls out of contention.
         if mode == "fs0":
-            members[[a for a in active if rho[a] == 0.0 and d[a] > Delta * (1.0 + 1e-12)]] = False
+            members[[a for a in active if rho[a] == 0.0 and d[a] > Delta * (1.0 + STRICT_RTOL)]] = False
             active = [a for a in active if members[a]]
         if kind == EVENT_DROP:
             pos = active.index(index)
@@ -419,7 +473,7 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
                 active.append(j)
                 members[j] = True
 
-        if C <= floor or np.linalg.norm(r) <= RESIDUAL_FLOOR * y_norm:
+        if C <= floor or r_norm <= r_floor:
             return rec.build()
 
     raise StepBudgetError(
@@ -453,8 +507,9 @@ class KKTReport:
     Per original coordinate: how far |x_j . r| exceeds lambda, how far
     the correlation of a supported coordinate sits from lambda, and the
     overlap of mirrored pairs. ``worst_violation`` is the largest of the
-    three families; the report passes when it is at most tol scaled by
-    max(1, lambda).
+    three families; the report passes when it is at most ``tolerance``,
+    tol scaled by max(lambda, KKT_FLOOR_RTOL * lambda_max), so the verdict
+    does not depend on the scale of the response.
     """
 
     lam: float
@@ -475,10 +530,11 @@ def kkt_certify(design, beta: np.ndarray, lam: float, tol: float = 1e-8) -> KKTR
     """
     design = _as_expanded(design)
     beta = np.asarray(beta, dtype=float)
-    if beta.min() < -1e-12:
+    if beta.min() < -KKT_NEGATIVE_RTOL * np.abs(beta).max():
         raise ValueError("certificate needs non-negative mirrored coefficients")
     p = design.p
-    r = design.base.y_centered - design.predict(beta)
+    y = design.base.y_centered
+    r = y - design.predict(beta)
     corr = design.base.correlations(r)
     bound_excess = np.abs(corr) - lam
     pos, neg = beta[:p], beta[p:]
@@ -494,11 +550,12 @@ def kkt_certify(design, beta: np.ndarray, lam: float, tol: float = 1e-8) -> KKTR
         float(np.max(pair_overlap, initial=0.0)),
         0.0,
     )
-    scale = max(1.0, abs(lam))
+    lam_max = float(np.max(np.abs(design.base.correlations(y)), initial=0.0))
+    tolerance = tol * max(abs(lam), KKT_FLOOR_RTOL * lam_max)
     return KKTReport(
         lam=lam,
-        tolerance=tol,
-        passed=worst <= tol * scale,
+        tolerance=tolerance,
+        passed=worst <= tolerance,
         worst_violation=worst,
         bound_excess=bound_excess,
         support_gap=support_gap,

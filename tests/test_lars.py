@@ -352,6 +352,53 @@ class TestKKTCertify:
             kkt_certify(design.expanded(), beta, 1.0)
 
 
+RESPONSE_SCALES = [10.0**k for k in (-10, -6, 0, 6)]
+
+
+def _scaled(data, scale):
+    """Standardized data (a Dataset or a StandardizedDesign) with y times scale."""
+    if isinstance(data, lp.StandardizedDesign):
+        data = lp.Dataset(X=data.Xs, y=data.y_centered)
+    return standardize(lp.Dataset(X=data.X, y=data.y * scale))
+
+
+def _own_lambda(ed, beta):
+    """The maximal |correlation| at beta, as `l1paths certify` takes it."""
+    r = ed.base.y_centered - ed.predict(beta)
+    return float(np.max(np.abs(ed.base.correlations(r))))
+
+
+class TestKKTResponseScale:
+    """kkt_certify's verdict does not depend on the scale of y."""
+
+    @pytest.mark.parametrize("scale", RESPONSE_SCALES)
+    def test_vertex_one_percent_off_the_path_fails(self, scale):
+        ed = _scaled(lp.gen_block(n=30, p=100, seed=0)[0], scale).expanded()
+        path = solve_path(ed, SolverConfig(mode="lasso"))
+        beta = 1.01 * path.vertices[path.n_segments // 2]
+        assert not kkt_certify(ed, beta, _own_lambda(ed, beta)).passed
+
+    @pytest.mark.parametrize("scale", RESPONSE_SCALES)
+    @pytest.mark.parametrize("data", [
+        lp.gen_block(n=30, p=100, seed=0)[0],
+        gen_sine(seed=0),
+        gaussian_instance(600, 120, seed=0),
+    ], ids=["block", "sine", "gaussian"])
+    def test_every_lasso_vertex_passes(self, data, scale):
+        ed = _scaled(data, scale).expanded()
+        path = solve_path(ed, SolverConfig(mode="lasso"))
+        for beta in path.vertices:
+            report = kkt_certify(ed, beta, _own_lambda(ed, beta))
+            assert report.passed, (report.worst_violation, report.tolerance)
+
+    def test_negative_coefficient_rule_is_relative(self):
+        ed = gaussian_instance(20, 5, seed=16).expanded()
+        beta = np.zeros(10)
+        beta[0], beta[1] = 1e-10, -1e-13
+        with pytest.raises(ValueError):
+            kkt_certify(ed, beta, 1.0)
+
+
 class TestGramSpaceFs0:
     def test_fs0_never_materializes_columns(self, monkeypatch):
         calls = []
@@ -466,6 +513,51 @@ class TestReplay:
         V = path.vertices
         error = np.max(np.abs(replay_vertices(design, path) - V))
         assert error <= 1e-10 * max(1.0, np.abs(V).max())
+
+    @pytest.mark.parametrize("design, mode", [
+        (standardize(lp.gen_block(n=30, p=100, seed=0)[0]), "fs0"),
+        (gaussian_instance(100, 40, seed=0, correlated=True), "lar"),
+        (gaussian_instance(100, 40, seed=0, correlated=True), "lasso"),
+    ], ids=["block_fs0", "gaussian_lar", "gaussian_lasso"])
+    def test_vertices_match_replay_across_refreshes(self, design, mode):
+        """Paths long enough that the carried residual and correlations are
+        refreshed from the coefficients at least twice before the end."""
+        path = solve_path(design.expanded(), SolverConfig(mode=mode))
+        assert path.n_segments > 2 * lp.lars.REFRESH_EVERY
+        V = path.vertices
+        error = np.max(np.abs(replay_vertices(design, path) - V))
+        assert error <= 1e-10 * max(1.0, np.abs(V).max())
+
+
+class TestDriftGuard:
+    """The guard is relative to C0: a carried correlation that disagrees with
+    its exact refresh by 1e-3 C0 raises at any scale of the response."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_perturbed_refresh_raises(self, monkeypatch, scale):
+        design = _scaled(lp.gen_block(n=30, p=100, seed=0)[0], scale)
+        shift = 1e-3 * float(np.max(np.abs(design.correlations(design.y_centered))))
+        predict, correlations = lp.ExpandedDesign.predict, lp.ExpandedDesign.correlations
+        seen = {"fits": [], "residuals": 0}
+
+        def fitted(self, beta):
+            out = predict(self, beta)
+            seen["fits"].append(out)
+            return out
+
+        def perturbed(self, r):
+            # X^T (X rho) is a decay rate; anything else is the correlation
+            # of a residual, left exact only on the first (y itself) call
+            c = correlations(self, r)
+            if any(r is f for f in seen["fits"]):
+                return c
+            seen["residuals"] += 1
+            return c if seen["residuals"] == 1 else c + shift
+
+        monkeypatch.setattr(lp.ExpandedDesign, "predict", fitted)
+        monkeypatch.setattr(lp.ExpandedDesign, "correlations", perturbed)
+        with pytest.raises(lp.InternalConsistencyError):
+            solve_path(design.expanded(), SolverConfig(mode="lasso"))
 
 
 class TestBatchedJoin:
