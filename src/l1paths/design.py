@@ -151,6 +151,7 @@ class ExpandedDesign:
     def __init__(self, base: StandardizedDesign):
         self.base = base
         self._gram0: np.ndarray | None = None
+        self._sign = np.repeat([1.0, -1.0], base.p)  # of each expanded column
 
     @property
     def n(self) -> int:
@@ -194,22 +195,16 @@ class ExpandedDesign:
             self._gram0 = self.base.Xs.T @ self.base.Xs
         return self._gram0
 
-    def gram_block(self, indices, others=None) -> np.ndarray:
-        """Inner products of the expanded columns at ``indices`` (rows) with
-        those at ``others`` (columns; default: ``indices`` again)."""
-        idx = np.asarray(indices, dtype=int)
-        jdx = idx if others is None else np.asarray(others, dtype=int)
-        block = self.base_gram().take(idx % self.p, 0).take(jdx % self.p, 1)
-        block[idx >= self.p] *= -1.0
-        block[:, jdx >= self.p] *= -1.0
-        return block
+    def gram_entries(self, rows, cols) -> np.ndarray:
+        """Inner products of the expanded columns at ``rows`` with those at ``cols``.
 
-    def gram_entries(self, a: int, others) -> np.ndarray:
-        """Inner products of expanded column a with other expanded columns."""
-        p = self.p
-        others = np.asarray(others, dtype=int)
-        g = self.base_gram()[a % p, others % p].copy()
-        signs = np.where(others >= p, -1.0, 1.0)
-        if a >= p:
-            signs = -signs
-        return g * signs
+        An index array ``rows`` gives the block, rows by cols; a single index
+        gives that column's one row. Each entry is the base Gram entry times
+        the signs of its two columns, which is exact.
+        """
+        p, sign = self.p, self._sign
+        cols = np.asarray(cols, dtype=int)
+        if np.ndim(rows) == 0:
+            return self.base_gram()[rows % p].take(cols % p) * (sign[rows] * sign[cols])
+        rows = np.asarray(rows, dtype=int)
+        return self.base_gram()[(rows % p)[:, None], cols % p] * (sign[rows][:, None] * sign[cols])

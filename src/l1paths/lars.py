@@ -121,15 +121,16 @@ def _tied_set(c: np.ndarray, C: float, tie_tolerance: float) -> np.ndarray:
     return np.flatnonzero(c >= C - tie_tolerance * abs(C))
 
 
-def _unit_direction(p2: int, active, theta: np.ndarray) -> MoveDirection:
-    """Scale a raw direction on the active columns to unit coefficient sum."""
+def _unit_direction(p2: int, active: np.ndarray, theta: np.ndarray) -> MoveDirection:
+    """Scale a raw direction on the active columns (an index array) to unit
+    coefficient sum."""
     total = float(theta.sum())
     if total <= 0.0:
         raise InternalConsistencyError("positive correlation but the move has no mass")
-    active = np.asarray(active, dtype=int)
+    mass = theta / total
     rho = np.zeros(p2)
-    rho[active] = theta / total
-    return MoveDirection(rho, tuple(active[rho[active] != 0.0].tolist()))
+    rho[active] = mass
+    return MoveDirection(rho, tuple(active[mass != 0.0].tolist()))
 
 
 def _nnls_direction(
@@ -137,15 +138,15 @@ def _nnls_direction(
 ):
     """Unit-mass (weighted) non-negative least-squares move on the active columns.
 
-    ``c``: every mirrored column's correlation with the target. Lawson-Hanson
-    continues from ``factor`` (immutable), the factor of the ``passive``
-    columns, after appending ``entering``. Gram entries come from the cached
-    base Gram, or from the active columns under ``weights``. Returns the
-    direction, and the factor and passive columns of its support.
+    ``active``: an index array. ``c``: every mirrored column's correlation
+    with the target. Lawson-Hanson continues from ``factor`` (immutable), the
+    factor of the ``passive`` columns, after appending ``entering``. Gram
+    entries come from the cached base Gram, or from the active columns under
+    ``weights``. Returns the direction, and the factor and passive columns of
+    its support.
     """
-    active = np.asarray(active, dtype=int)
     if weights is None:
-        gram = design.gram_block
+        gram = design.gram_entries
     else:
         Xa = design.columns(active)
         G = Xa.T @ (weights[:, None] * Xa)
@@ -153,7 +154,7 @@ def _nnls_direction(
         at[active] = np.arange(active.size)
 
         def gram(rows, cols):
-            return G.take(at[rows], 0).take(at[cols], 1)
+            return G[at[rows][..., None], at[cols]]
 
     theta, factor, passive = nnls_continue(gram, c, active, factor, passive, entering)
     mass = np.zeros(design.p2)
@@ -161,22 +162,36 @@ def _nnls_direction(
     return _unit_direction(design.p2, active, mass[active]), factor, passive
 
 
+def _tied_at(design, beta, tie_tolerance, zero_tolerance):
+    """Correlations at the mirrored point ``beta`` and the columns tied at
+    their maximum C, or no columns when C is at most ``zero_tolerance``.
+
+    ``zero_tolerance=None`` is the floor at which ``solve_path`` ends:
+    CORRELATION_FLOOR times max|X^T y|.
+    """
+    y = design.base.y_centered
+    if zero_tolerance is None:
+        zero_tolerance = CORRELATION_FLOOR * max(float(design.correlations(y).max()), 1e-300)
+    c = design.correlations(y - design.predict(np.asarray(beta, dtype=float)))
+    C = float(c.max())
+    return c, (None if C <= zero_tolerance else _tied_set(c, C, tie_tolerance))
+
+
 def lasso_move_direction(
-    design, beta: np.ndarray, tie_tolerance: float = TIE_TOLERANCE, zero_tolerance: float = 1e-12
+    design, beta: np.ndarray, tie_tolerance: float = TIE_TOLERANCE,
+    zero_tolerance: float | None = None,
 ) -> MoveDirection:
     """Instantaneous lasso move from an arbitrary mirrored point.
 
-    Zero when the residual is orthogonal to every column; otherwise the
-    least-squares coefficients of the residual on the columns tied at
+    Zero when the maximal correlation is at most ``zero_tolerance`` (None:
+    CORRELATION_FLOOR times max|X^T y|, where ``solve_path`` ends); otherwise
+    the least-squares coefficients of the residual on the columns tied at
     the maximal correlation, scaled to unit coefficient sum.
     """
     design = _as_expanded(design)
-    r = design.base.y_centered - design.predict(np.asarray(beta, dtype=float))
-    c = design.correlations(r)
-    C = float(c.max())
-    if C <= zero_tolerance:
+    c, active = _tied_at(design, beta, tie_tolerance, zero_tolerance)
+    if active is None:
         return MoveDirection(np.zeros(design.p2), ())
-    active = _tied_set(c, C, tie_tolerance)
     try:
         factor = _factor_active(design, active)
     except DegenerateDesignError:
@@ -187,33 +202,32 @@ def lasso_move_direction(
 
 
 def monotone_move_direction(
-    design, beta: np.ndarray, tie_tolerance: float = TIE_TOLERANCE, zero_tolerance: float = 1e-12
+    design, beta: np.ndarray, tie_tolerance: float = TIE_TOLERANCE,
+    zero_tolerance: float | None = None,
 ) -> MoveDirection:
     """Instantaneous monotone move: non-negative least squares on the tied set.
 
     Components forced to zero by the sign constraint carry no mass and
-    are excluded from the support.
+    are excluded from the support. ``zero_tolerance`` as in
+    ``lasso_move_direction``.
     """
     design = _as_expanded(design)
-    r = design.base.y_centered - design.predict(np.asarray(beta, dtype=float))
-    c = design.correlations(r)
-    C = float(c.max())
-    if C <= zero_tolerance:
+    c, active = _tied_at(design, beta, tie_tolerance, zero_tolerance)
+    if active is None:
         return MoveDirection(np.zeros(design.p2), ())
-    active = _tied_set(c, C, tie_tolerance)
     return _nnls_direction(design, active, c)[0]
 
 
-def _scan_events(design, beta, r, r_floor, c, C, rho, members, mode, stop_state):
+def _scan_events(design, beta, r, r_floor, c, C, rho, excluded, mode, stop_state):
     """First event along beta + gamma * rho from residual r.
 
     Correlations are linear in gamma: column j decays at rate
     d_j = x_j . (X rho). Every supported column (rho_j != 0) decays
     proportionally, so the tied maximum decays at Delta = max over the
     support of d, and the catch-up step for an inactive column is
-    (C - c_j) / (Delta - d_j).
-    The mirror of a supported column would tie exactly at the
-    least-squares point, so it is excluded from the catch-up scan. Where
+    (C - c_j) / (Delta - d_j). Columns flagged in ``excluded`` (active or
+    barred) are not scanned. The mirror of a supported column would tie
+    exactly at the least-squares point, so it is not scanned either. Where
     the least-squares point leaves a residual of at most ``r_floor`` (a
     zero-residual fit, p >= n), every column catches up there; a catch-up
     within TIE_TOLERANCE of it is then a join at that point, so neither
@@ -230,29 +244,23 @@ def _scan_events(design, beta, r, r_floor, c, C, rho, members, mode, stop_state)
     gamma_c = C / Delta
 
     p = design.p
-    gamma_eps = MIN_STEP_RTOL * gamma_c
-
     best_gamma, kind, indices = gamma_c, EVENT_FULL_LS, None
 
-    excluded = members | np.concatenate([supported[p:], supported[:p]])  # mirrors
-
-    cand = np.flatnonzero(~excluded)
-    if cand.size:
-        den = Delta - d[cand]
-        num = C - c[cand]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gammas = np.where(den > 0.0, num / den, np.inf)
-        gammas[gammas <= gamma_eps] = np.inf
-        gmin = float(np.min(gammas))
-        at_zero_residual = (
-            abs(gmin - gamma_c) <= TIE_TOLERANCE * gamma_c
-            and np.linalg.norm(r - gamma_c * v) <= r_floor
-        )
-        if at_zero_residual or gmin < gamma_c * (1.0 - STRICT_RTOL):
-            tied = gammas <= gmin * (1.0 + TIE_TOLERANCE)
-            best_gamma = gamma_c if at_zero_residual else gmin
-            kind = EVENT_JOIN
-            indices = [int(j) for j in cand[tied]]
+    # Every column not excluded (nor the mirror of a supported one) whose
+    # correlation decays slower than the maximum catches up at a finite step.
+    den = Delta - d
+    scanned = (den > 0.0) & ~(excluded | np.concatenate([supported[p:], supported[:p]]))
+    gammas = np.divide(C - c, den, out=np.full(design.p2, np.inf), where=scanned)
+    gammas[gammas <= MIN_STEP_RTOL * gamma_c] = np.inf
+    gmin = float(gammas.min())
+    at_zero_residual = (
+        abs(gmin - gamma_c) <= TIE_TOLERANCE * gamma_c
+        and np.linalg.norm(r - gamma_c * v) <= r_floor
+    )
+    if at_zero_residual or gmin < gamma_c * (1.0 - STRICT_RTOL):
+        best_gamma = gamma_c if at_zero_residual else gmin
+        kind = EVENT_JOIN
+        indices = np.flatnonzero(gammas <= gmin * (1.0 + TIE_TOLERANCE)).tolist()
 
     if mode == "lasso":
         movers = np.flatnonzero(rho < 0.0)
@@ -339,7 +347,7 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
 
     members = np.zeros(p2, dtype=bool)
     barred = np.zeros(p2, dtype=bool)  # columns collinear with the active set
-    active: list[int] = [int(a) for a in _tied_set(c, C, TIE_TOLERANCE)]
+    active = _tied_set(c, C, TIE_TOLERANCE)  # an index array, in join order
     members[active] = True
     # lar and lasso keep the factor of the active set. fs0 keeps the factor
     # of the passive set of its last NNLS fit, whose columns carry the move;
@@ -379,9 +387,7 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
             instant_drops += 1
             if instant_drops > p2:
                 raise InternalConsistencyError("drop events are not making progress")
-            pos = active.index(index)
-            factor = factor.drop_column(pos)
-            active.pop(pos)
+            factor, active = _drop_active(factor, active, index)
             members[index] = False
             beta[index] = 0.0
             continue
@@ -436,18 +442,18 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         # coordinate that carried no mass decays faster than the tied
         # maximum and falls out of contention.
         if mode == "fs0":
-            members[[a for a in active if rho[a] == 0.0 and d[a] > Delta * (1.0 + STRICT_RTOL)]] = False
-            active = [a for a in active if members[a]]
+            gone = (rho[active] == 0.0) & (d[active] > Delta * (1.0 + STRICT_RTOL))
+            if gone.any():
+                members[active[gone]] = False
+                active = active[~gone]
         if kind == EVENT_DROP:
-            pos = active.index(index)
-            factor = factor.drop_column(pos)
-            active.pop(pos)
+            factor, active = _drop_active(factor, active, index)
             members[index] = False
         elif kind == EVENT_JOIN and mode == "fs0":
             # The next NNLS fit appends the catchers to its factor; one that
             # depends on the factor's columns gets no weight there.
             entering = indices
-            active += indices
+            active = np.append(active, indices)
             members[indices] = True
         elif kind == EVENT_JOIN:
             # A catcher in the span of the active columns (typical once the
@@ -461,16 +467,16 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
                 # still go through it, one at a time and in order.
                 cand = np.asarray(indices)
                 diag = design.base_gram().diagonal()[cand % design.p]
-                ok = factor.admits(np.vstack([design.gram_block(active, cand), diag]))
+                ok = factor.admits(np.vstack([design.gram_entries(active, cand), diag]))
                 barred[np.concatenate([cand[~ok], (cand[~ok] + design.p) % p2])] = True
-                indices = [int(j) for j in cand[ok]]
+                indices = cand[ok].tolist()
             for j in indices:
                 try:
                     factor = _append_factor(design, factor, active, j)
                 except DegenerateDesignError:
                     barred[[j, (j + design.p) % p2]] = True
                     continue
-                active.append(j)
+                active = np.append(active, j)
                 members[j] = True
 
         if C <= floor or r_norm <= r_floor:
@@ -489,9 +495,15 @@ def _factor_active(design, active):
     return factor
 
 
+def _drop_active(factor, active, index):
+    """The factor and active index array without active column ``index``."""
+    keep = active != index
+    return factor.drop_column(int(keep.argmin())), active[keep]
+
+
 def _append_factor(design, factor, current, new_index):
     try:
-        return factor.append_column(design.gram_entries(new_index, [*current, new_index]))
+        return factor.append_column(design.gram_entries(new_index, np.append(current, new_index)))
     except DegenerateDesignError:
         name = design.base.name_of(new_index % design.p)
         raise DegenerateDesignError(

@@ -2,10 +2,13 @@
 
 One factor serves every solve: ``CholeskyFactor`` keeps L with L L^T = G,
 its inverse T = L^-1 and G itself, for columns that join one at a time.
-An append is one matvec with T plus a new row of L and of T; the batched
-rank test and the Gram solve are matvecs with T. A drop keeps the
-leading block and refactors the columns after the first one dropped from
-their Schur complement ``G33 - L31 L31^T``, so several drops cost one
+An append is one matvec with T plus a new row of L, of T and of G; the
+batched rank test and the Gram solve are matvecs with T. A drop keeps
+the leading block of L and T (the columns before the first one dropped)
+and refactors the survivors after it from their Schur complement
+``G33 - L31 L31^T``: G33 is read from the kept G and L31 from their rows
+of L, so the refactor is one ``np.linalg.cholesky`` and one
+``np.linalg.inv`` of the new triangular tail, and several drops cost one
 refactor. Lawson-Hanson non-negative least squares runs on such a factor
 and can continue from the one its last call left. One relative pivot
 rule, ``_independent`` with ``PIVOT_RTOL``, makes every rank decision: an
@@ -54,7 +57,9 @@ class CholeskyFactor:
 
     The factor keeps T = L^-1 and G beside L, and tracks the largest Gram
     diagonal it has seen so that the rank check stays relative to the
-    scale of the problem.
+    scale of the problem. G is kept for drops: ``drop_columns`` keeps L and
+    T up to the first dropped column and refactors the survivors after it
+    from their block of G less the part their rows of L already account for.
     """
 
     __slots__ = ("_L", "_T", "_G", "_max_diag")
@@ -153,25 +158,24 @@ class CholeskyFactor:
         keep = np.ones(k, dtype=bool)
         keep[indices] = False
         kept = np.flatnonzero(keep)
-        first = int(np.argmin(keep)) if kept.size < k else k
-        tail = kept[first:]
+        first = int(indices.min()) if indices.size else k
         G = self._G.take(kept, 0).take(kept, 1)
-        if not tail.size:
+        if first == kept.size:
             return CholeskyFactor(self._L[:first, :first], self._T[:first, :first], G,
                                   self._max_diag)
-        L31 = self._L.take(tail, 0)[:, :first]
+        L = self._L.take(kept, 0).take(kept, 1)  # its last block is replaced below
+        L31 = L[first:, :first]
         try:
             L33 = np.linalg.cholesky(G[first:, first:] - L31 @ L31.T)
         except np.linalg.LinAlgError:
-            raise DegenerateDesignError(column=int(tail[0])) from None
+            raise DegenerateDesignError(column=int(kept[first])) from None
         # Inverting the upper triangular L33^T needs no row exchange, so the
         # inverse is exactly triangular.
         T33 = np.linalg.inv(L33.T).T
-        m = kept.size
-        L, T = np.zeros((m, m)), np.zeros((m, m))
-        L[:first, :first], L[first:, :first], L[first:, first:] = self._L[:first, :first], L31, L33
-        T[:first, :first] = self._T[:first, :first]
-        T[first:, :first], T[first:, first:] = -T33 @ (L31 @ self._T[:first, :first]), T33
+        L[first:, first:] = L33
+        T = np.zeros_like(L)
+        T[:first, :first] = T11 = self._T[:first, :first]
+        T[first:, :first], T[first:, first:] = -T33 @ (L31 @ T11), T33
         return CholeskyFactor(L, T, G, self._max_diag)
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
@@ -205,7 +209,8 @@ def nnls_continue(
     """Lawson-Hanson non-negative least squares on a kept Cholesky factor.
 
     Variables are named by integer labels: ``gram(rows, cols)`` returns the
-    Gram block between two label arrays, and ``c`` is indexed by label.
+    Gram block between two label arrays (one row for a single row label),
+    and ``c`` is indexed by label.
     ``factor`` is the factor of ``gram(passive, passive)`` in the order of
     ``passive``; each label in ``entering`` is appended to it unless it
     depends on the passive set P (FNNLS, Bro & De Jong). Refit on P with
@@ -230,7 +235,7 @@ def nnls_continue(
     for j in entering:
         with_j = np.concatenate([passive, [j]])
         try:
-            factor = factor.append_column(gram(with_j[-1:], with_j)[0])
+            factor = factor.append_column(gram(j, with_j))
         except DegenerateDesignError:
             continue
         passive = with_j
@@ -254,10 +259,10 @@ def nnls_continue(
                 if kept.size and fit.min() > 0.0:
                     x[: kept.size] = fit
             mask = sub <= 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(mask, x / (x - sub), np.inf)
+            gap = x - sub
+            ratios = np.divide(x, gap, out=np.full(sub.size, np.inf), where=mask)
             hit = int(np.argmin(ratios))
-            x_new = x + ratios[hit] * (sub - x)
+            x_new = x - ratios[hit] * gap
             drop = mask & (x_new <= NNLS_FLOOR_RTOL * max(np.max(np.abs(x_new)), 1e-300))
             drop[hit] = True
             pivots += int(drop.sum())
@@ -267,22 +272,23 @@ def nnls_continue(
             sub = np.zeros(0)
         if passive.size == variables.size:
             return sub, factor, passive
-        inside = set(passive.tolist())
-        others = np.array([v for v in variables.tolist() if v not in inside], dtype=int)
+        free = np.ones(c.shape[0], dtype=bool)  # labels outside P
+        free[passive] = False
+        others = variables[free[variables]]
         cross = gram(others, passive)
         w = c[others] - cross @ sub
         while True:
             i = int(np.argmax(w))
             if not w[i] > tol:
                 return sub, factor, passive
-            j = others[i : i + 1]
+            j = others[i]
             try:
-                factor = factor.append_column(np.concatenate([cross[i], gram(j, j)[0]]))
+                factor = factor.append_column(np.append(cross[i], gram(j, j)))
             except DegenerateDesignError:
                 w[i] = -np.inf  # j depends on P: skipped (Lawson-Hanson step 6)
                 continue
             break
-        passive, x = np.concatenate([passive, j]), np.concatenate([sub, [0.0]])
+        passive, x = np.append(passive, j), np.append(sub, 0.0)
         pivots += 1
 
 
@@ -301,8 +307,8 @@ def solve_nnls_gram(
     n = c.shape[0]
     warm = dict.fromkeys(int(j) for j in initial_support or () if 0 <= int(j) < n)
     theta, _, passive = nnls_continue(
-        lambda rows, cols: G.take(rows, 0).take(cols, 1), c, np.arange(n), CholeskyFactor.empty(),
-        (), warm, max_pivots, tol,
+        lambda rows, cols: G[np.asarray(rows)[..., None], cols], c, np.arange(n),
+        CholeskyFactor.empty(), (), warm, max_pivots, tol,
     )
     x = np.zeros(n)
     x[passive] = theta

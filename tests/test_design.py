@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import l1paths as lp
 from l1paths import (
     DataError,
     Dataset,
@@ -118,6 +119,58 @@ class TestExpandedDesign:
         g = ed.base_gram()
         np.testing.assert_allclose(ed.gram_entries(4, [0, 1, 2]), -g[1], atol=0)
         np.testing.assert_allclose(ed.gram_entries(4, [3, 4, 5]), g[1], atol=0)
+
+
+class TestSignedGramGather:
+    """``gram_entries`` is the base Gram entry with the signs of both expanded
+    columns written out, bit for bit, as a block and as one row."""
+
+    P = 5
+
+    @staticmethod
+    def _explicit(g, p, rows, cols):
+        sign = {False: 1.0, True: -1.0}  # by whether the column is mirrored
+        return np.array([[sign[a >= p] * sign[b >= p] * g[a % p, b % p] for b in cols]
+                         for a in rows])
+
+    @pytest.fixture
+    def ed(self):
+        X, y = rng_for(9).standard_normal((14, self.P)), rng_for(10).standard_normal(14)
+        return standardize(Dataset(X=X, y=y)).expanded()
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([0, 7, 3, 9], [8, 1, 5, 4, 6]),  # the NNLS block: plain and mirrored both ways
+        ([6], [2, 7]),
+        ([1, 8], []),
+        ([], [3, 8]),
+    ])
+    def test_block(self, ed, rows, cols):
+        block = ed.gram_entries(np.array(rows, dtype=int), np.array(cols, dtype=int))
+        expected = self._explicit(ed.base_gram(), self.P, rows, cols).reshape(len(rows), len(cols))
+        assert np.array_equal(block, expected)
+
+    @pytest.mark.parametrize("row, cols", [(7, [0, 7, 3, 9]), (2, [8, 1, 2]), (9, [])])
+    def test_one_row(self, ed, row, cols):
+        entries = ed.gram_entries(row, cols)
+        expected = self._explicit(ed.base_gram(), self.P, [row], cols).reshape(len(cols))
+        assert entries.shape == (len(cols),)
+        assert np.array_equal(entries, expected)
+
+    def test_append_factor_row(self, ed, monkeypatch):
+        """The row the engine appends to its factor for a joining column."""
+        seen = []
+        append = lp.CholeskyFactor.append_column
+
+        def recording(factor, row):
+            seen.append(row)
+            return append(factor, row)
+
+        monkeypatch.setattr(lp.CholeskyFactor, "append_column", recording)
+        active = np.array([7, 1, 3])
+        lp.lars._factor_active(ed, active)
+        for k, row in enumerate(seen):
+            expected = self._explicit(ed.base_gram(), self.P, [active[k]], active[: k + 1])
+            assert np.array_equal(row, expected[0])
 
 
 class TestDatasetValidation:

@@ -54,6 +54,16 @@ class TestMoveDirections:
             assert move.is_zero
             assert np.all(move.rho == 0.0)
 
+    def test_default_zero_tolerance_is_relative(self):
+        """At y x 1e-15 the helpers start where solve_path starts: the default
+        floor scales with max|X^T y| as solve_path's does."""
+        data = lp.gen_block(n=30, p=100, seed=0)[0]
+        ed = standardize(lp.Dataset(X=data.X, y=data.y * 1e-15)).expanded()
+        first = solve_path(ed, SolverConfig(mode="lasso")).segment_active_sets[0]
+        assert first == (57,)
+        for fn in (lasso_move_direction, monotone_move_direction):
+            assert fn(ed, np.zeros(ed.p2)).support == first
+
     def test_single_predictor_full_mass(self):
         rng = rng_for(1)
         x = rng.standard_normal(15)
@@ -509,6 +519,15 @@ class TestReplay:
     ], ids=["block", "block_rho99", "sine"])
     def test_vertices_match_replay(self, mode, design):
         design = standardize(design)
+        path = solve_path(design.expanded(), SolverConfig(mode=mode))
+        V = path.vertices
+        error = np.max(np.abs(replay_vertices(design, path) - V))
+        assert error <= 1e-10 * max(1.0, np.abs(V).max())
+
+    @pytest.mark.parametrize("mode", ["lasso", "fs0"])
+    def test_vertices_match_replay_through_drops(self, mode):
+        """A rho = 0.95 block whose paths drop columns from their factors."""
+        design = standardize(lp.gen_block(n=30, p=100, seed=1)[0])
         path = solve_path(design.expanded(), SolverConfig(mode=mode))
         V = path.vertices
         error = np.max(np.abs(replay_vertices(design, path) - V))
