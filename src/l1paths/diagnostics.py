@@ -22,6 +22,10 @@ INDEX_CHOICES = ("norm", "arclength")
 # path's own end; a value within this fraction of the largest index value
 # maps to the last knot.
 INDEX_END_RTOL = 1e-12
+# compare_paths refines the first divergence by this many bisection steps,
+# testing the midpoints of this many consecutive steps in one evaluation.
+_BISECTION_STEPS = 60
+_BISECTION_LEVELS = 6
 
 
 @dataclass
@@ -47,6 +51,11 @@ class _IndexMap:
     For arc length the breakpoints themselves are the knots. For the
     norm, segments are refined at interior zero crossings of the signed
     coordinates so the norm is linear between consecutive knots.
+
+    ``ells_at`` inverts the map for many index values at once: the first
+    knot whose value reaches the target is a search in the running
+    maximum of the knot values, and the parameter is interpolated on the
+    segment that ends there.
     """
 
     def __init__(self, path: PiecewiseLinearPath, index_by: str):
@@ -57,39 +66,40 @@ class _IndexMap:
         if index_by == "arclength":
             self.knots = bps.copy()
             self.values = path.tv_prefix()
-            return
-        coll = path.collapsed_vertices()
-        knots = [bps[0]]
-        for k in range(path.n_segments):
-            lo, hi = bps[k], bps[k + 1]
-            u, w = coll[k], coll[k + 1]
-            crossing = u * w < 0
-            if np.any(crossing):
-                ts = u[crossing] / (u[crossing] - w[crossing])
-                for t in np.unique(ts):
-                    knots.append(lo + t * (hi - lo))
-            knots.append(hi)
-        self.knots = np.unique(np.asarray(knots))
-        self.values = np.abs(collapse(path.evaluate(self.knots))).sum(axis=-1)
+        else:
+            coll = path.collapsed_vertices()
+            u, w = coll[:-1], coll[1:]
+            seg, col = np.nonzero(u * w < 0)
+            t = u[seg, col] / (u[seg, col] - w[seg, col])
+            lo, hi = bps[seg], bps[seg + 1]
+            self.knots = np.unique(np.concatenate([bps, lo + t * (hi - lo)]))
+            self.values = np.abs(collapse(path.evaluate(self.knots))).sum(axis=-1)
+        self._reach = np.maximum.accumulate(self.values[1:])
 
     def values_at(self, ells) -> np.ndarray:
         return np.interp(np.asarray(ells, dtype=float), self.knots, self.values)
 
+    def ells_at(self, values) -> np.ndarray:
+        """First parameter values at which the index reaches ``values``."""
+        kn, iv = self.knots, self.values
+        values = np.asarray(values, dtype=float)
+        top = iv.max()
+        over = values[values > top * (1.0 + INDEX_END_RTOL)]
+        if over.size:
+            raise ValueError(f"index value {over[0]} beyond the path's range {top}")
+        # Knot k + 1 is the first past the start to reach the value, so
+        # iv[k] < value <= iv[k + 1].
+        k = np.searchsorted(self._reach, values)
+        inside = (values > iv[0]) & (k < self._reach.size)
+        k = k[inside]
+        t = (values[inside] - iv[k]) / (iv[k + 1] - iv[k])
+        ells = np.where(values <= iv[0], kn[0], kn[-1])
+        ells[inside] = kn[k] + t * (kn[k + 1] - kn[k])
+        return ells
+
     def ell_at(self, value: float) -> float:
         """First parameter value at which the index reaches ``value``."""
-        kn, iv = self.knots, self.values
-        if value <= iv[0]:
-            return float(kn[0])
-        up = np.flatnonzero((np.minimum(iv[:-1], iv[1:]) <= value)
-                            & (value <= np.maximum(iv[:-1], iv[1:]))
-                            & (iv[:-1] != iv[1:]))
-        if up.size:
-            k = int(up[0])
-            t = (value - iv[k]) / (iv[k + 1] - iv[k])
-            return float(kn[k] + t * (kn[k + 1] - kn[k]))
-        if value > iv.max() * (1.0 + INDEX_END_RTOL):
-            raise ValueError(f"index value {value} beyond the path's range {iv.max()}")
-        return float(kn[-1])
+        return float(self.ells_at([value])[0])
 
 
 def index_values(path: PiecewiseLinearPath, ells, index_by: str) -> np.ndarray:
@@ -128,11 +138,10 @@ def rss_profile(
 
 def rss_at_index(design, path, values, index_by: str = "norm") -> np.ndarray:
     """RSS at given index values (first crossing for non-monotone norms)."""
-    imap = _IndexMap(path, index_by)
-    out = np.empty(len(values))
+    ells = _IndexMap(path, index_by).ells_at(np.asarray(values, dtype=float).ravel())
     y = design.y_centered
-    for i, v in enumerate(values):
-        coll = collapse(path.evaluate(imap.ell_at(float(v))))
+    out = np.empty(ells.size)
+    for i, coll in enumerate(collapse(path.evaluate(ells))):
         r = y - design.Xs @ coll
         out[i] = r @ r
     return out
@@ -151,7 +160,7 @@ def compare_paths(
     index values plus an even fill over the common index range, takes
     the sup of the coordinate-wise differences, and locates the first
     index value where the difference exceeds ``threshold``, refined by
-    bisection.
+    60 bisection steps.
     """
     map_a = _IndexMap(a, index_by)
     map_b = _IndexMap(b, index_by)
@@ -159,12 +168,12 @@ def compare_paths(
     hi = min(va[-1], vb[-1])
     values = np.union1d(np.union1d(va[va <= hi], vb[vb <= hi]), np.linspace(0.0, hi, grid))
 
-    def diff_at(v: float) -> float:
-        ca = collapse(a.evaluate(map_a.ell_at(v)))
-        cb = collapse(b.evaluate(map_b.ell_at(v)))
-        return float(np.max(np.abs(ca - cb)))
+    def diff_at(v: np.ndarray) -> np.ndarray:
+        ca = collapse(a.evaluate(map_a.ells_at(v)))
+        cb = collapse(b.evaluate(map_b.ells_at(v)))
+        return np.abs(ca - cb).max(axis=-1)
 
-    diffs = np.array([diff_at(float(v)) for v in values])
+    diffs = diff_at(values)
     sup = float(diffs.max()) if diffs.size else 0.0
     divergence = None
     over = np.flatnonzero(diffs > threshold)
@@ -172,12 +181,8 @@ def compare_paths(
         k = int(over[0])
         lo_v = float(values[k - 1]) if k else 0.0
         hi_v = float(values[k])
-        for _ in range(60):
-            mid = 0.5 * (lo_v + hi_v)
-            if diff_at(mid) > threshold:
-                hi_v = mid
-            else:
-                lo_v = mid
+        for _ in range(_BISECTION_STEPS // _BISECTION_LEVELS):
+            lo_v, hi_v = _bisect(lo_v, hi_v, lambda v: diff_at(v) > threshold)
         divergence = hi_v
     return PathComparison(
         sup_difference=sup,
@@ -185,6 +190,30 @@ def compare_paths(
         index_by=index_by,
         threshold=threshold,
     )
+
+
+def _bisect(lo: float, hi: float, above) -> tuple[float, float]:
+    """``_BISECTION_LEVELS`` bisection steps on [lo, hi] from one call of ``above``.
+
+    Every midpoint the steps could visit is formed as sequential bisection
+    forms it, as the mean of its two neighbors one level up, and all are
+    tested at once; the walk then keeps the half whose midpoint is above.
+    """
+    grid = np.array([lo, hi])
+    for _ in range(_BISECTION_LEVELS):
+        finer = np.empty(2 * grid.size - 1)
+        finer[::2] = grid
+        finer[1::2] = 0.5 * (grid[:-1] + grid[1:])
+        grid = finer
+    tested = above(grid[1:-1])
+    i, j = 0, grid.size - 1
+    while j - i > 1:
+        mid = (i + j) // 2
+        if tested[mid - 1]:
+            j = mid
+        else:
+            i = mid
+    return float(grid[i]), float(grid[j])
 
 
 def holdout_mse(
@@ -210,12 +239,9 @@ def holdout_mse(
     imap = _IndexMap(path, "norm")
     end_norm = float(imap.values.max())
     fractions = np.linspace(0.0, 1.0, max(grid, 2))
+    ells = imap.ells_at(fractions * end_norm) if end_norm > 0 else np.zeros(fractions.size)
     mse = np.empty(fractions.size)
-    ells = np.empty(fractions.size)
-    for i, f in enumerate(fractions):
-        ell = imap.ell_at(f * end_norm) if end_norm > 0 else 0.0
-        ells[i] = ell
-        coll = collapse(path.evaluate(ell))
+    for i, coll in enumerate(collapse(path.evaluate(ells))):
         b, intercept = design.to_original_scale(coll)
         pred = X_holdout @ b + intercept
         mse[i] = float(np.mean((pred - target) ** 2))

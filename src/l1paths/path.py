@@ -117,20 +117,17 @@ class PiecewiseLinearPath:
 class _PathRecorder:
     """Collects a path's vertices, breakpoints, segment active sets and events.
 
-    The exact engine ``append``s every segment; the stepping solvers
-    ``advance``, which skips a vertex at the parameter already recorded.
-    With ``step`` set, parameters are step counts and the breakpoints are
-    count times step.
+    The exact engine ``append``s every segment; the Euler integrator
+    ``advance``s, which skips a vertex at the parameter already recorded.
     """
 
-    def __init__(self, beta, parametrization: str, feature_names=None, step=None):
+    def __init__(self, beta, parametrization: str, feature_names=None):
         self.params = [0]
         self.vertices = [np.array(beta, dtype=float)]
         self.active_sets: list[tuple[int, ...]] = []
         self.events: list[PathEvent] = []
         self.parametrization = parametrization
         self.feature_names = list(feature_names) if feature_names else None
-        self.step = step
 
     def append(self, param, beta, active_set=(), event: PathEvent | None = None):
         self.params.append(param)
@@ -144,11 +141,8 @@ class _PathRecorder:
             self.append(param, beta)
 
     def build(self, truncated: bool = False) -> PiecewiseLinearPath:
-        breakpoints = np.array(self.params, dtype=float)
-        if self.step is not None:
-            breakpoints = breakpoints * self.step
         return PiecewiseLinearPath(
-            breakpoints=breakpoints,
+            breakpoints=np.array(self.params, dtype=float),
             vertices=np.array(self.vertices),
             segment_active_sets=self.active_sets,
             parametrization=self.parametrization,

@@ -23,7 +23,7 @@ from .design import StandardizedDesign
 from .errors import ConfigError, CurvatureError, StepSizeError
 from .lars import TIE_TOLERANCE, MoveDirection, _as_expanded, _nnls_direction, _tied_set
 from .losses import LossModel
-from .path import _PathRecorder, collapse, expand
+from .path import PiecewiseLinearPath, _PathRecorder, collapse, expand
 
 # Relative loss increase an Euler step may make and still be accepted.
 LOSS_INCREASE_SLACK = 1e-12
@@ -84,63 +84,86 @@ def monotone_incremental(
     positively correlated with the residual), so every coordinate is
     non-decreasing by construction. Ties go to the lowest mirrored
     index: a positive column beats a negated one, then the lower column
-    index wins. Squared loss keeps the gradient current through the
-    Gram matrix; another loss model recomputes it from the updated
-    predictor. Stepping stops once no gradient exceeds the stop
-    tolerance; if the iteration budget runs out first, the path is
-    flagged truncated.
+    index wins. Squared loss keeps the gradient current through a table
+    of signed, epsilon-scaled Gram columns, one subtraction per step;
+    another loss model recomputes it from the updated predictor.
+    Stepping stops once no gradient exceeds the stop tolerance; if the
+    iteration budget runs out first, the path is flagged truncated.
+
+    The loop only chooses columns. The vertices are built afterwards from
+    the step sequence (see ``_epsilon_path``).
     """
     config.validate()
     design = _as_expanded(design)
-    p = design.p
     y = design.base.y_centered
     tol = _stop_tolerance(config.stop_correlation_tolerance, y)
-    squared = loss is None or loss.name == "squared"
-    if squared:
-        gram = design.base_gram()
+    steps: list[int] = []
+    truncated = False
+    if loss is None or loss.name == "squared":
+        # Row a is the gradient change of one step on mirrored column a:
+        # epsilon times its Gram column, negated on the mirrored half.
+        u = (config.epsilon * design.base_gram()).T
+        U = np.block([[u, -u], [-u, u]])
         c0 = design.base.Xs.T @ y
         g = np.concatenate([c0, -c0])
+        for _ in range(config.max_iterations):
+            a = g.argmax()
+            if g[a] <= tol:
+                break
+            g -= U[a]
+            steps.append(a)
+        else:
+            truncated = not g[g.argmax()] <= tol
     else:
         loss.validate_response(y)
         eta = np.zeros(design.n)
-    beta = np.zeros(design.p2)
-    rec = _PathRecorder(beta, "l1_arc_length", design.base.feature_names, step=config.epsilon)
-    steps: list[int] = []
-    prev_choice = -1
-    truncated = False
-    m = 0
-    while True:
-        if not squared:
+        for _ in range(config.max_iterations):
             g = design.correlations(-loss.first(y, eta))
-        if float(g.max()) <= tol:
-            break
-        if m >= config.max_iterations:
-            truncated = True
-            break
-        a = int(np.argmax(g))
-        if a != prev_choice and m > 0:
-            rec.advance(m, beta)
-        prev_choice = a
-        if squared:
-            upd = config.epsilon * gram[:, a % p]
-            if a >= p:
-                upd = -upd
-            g[:p] -= upd
-            g[p:] += upd
-        else:
+            a = g.argmax()
+            if g[a] <= tol:
+                break
             eta = eta + config.epsilon * design.column(a)
-        beta[a] += config.epsilon
-        steps.append(a)
-        m += 1
-        if m % config.record_stride == 0:
-            rec.advance(m, beta)
-    rec.advance(m, beta)
-    path = rec.build(truncated)
+            steps.append(a)
+        else:
+            g = design.correlations(-loss.first(y, eta))
+            truncated = not g[g.argmax()] <= tol
+    steps = np.asarray(steps, dtype=np.int64)
+    path = _epsilon_path(design, steps, config, truncated)
     if truncated:
         warnings.warn("stagewise iteration budget exhausted; path is partial")
     if return_steps:
-        return path, np.asarray(steps, dtype=np.int64)
+        return path, steps
     return path
+
+
+def _epsilon_path(design, steps: np.ndarray, config: StagewiseConfig, truncated: bool):
+    """The recorded vertices of an epsilon-step run, from its step sequence.
+
+    A vertex is recorded at step count 0, before every step whose column
+    differs from the previous step's, after every ``record_stride`` steps
+    and at the end. A coordinate stepped k times by then holds the k-th
+    partial sum of epsilon, summed in order, so it carries the same bits
+    as adding epsilon one step at a time.
+    """
+    m = steps.size
+    changes = np.flatnonzero(steps[1:] != steps[:-1]) + 1
+    counts = np.union1d(np.r_[0, changes, m], np.arange(config.record_stride, m + 1,
+                                                        config.record_stride))
+    # Step i (from 0) is first in the vertex of the first count >= i + 1.
+    first_record = np.searchsorted(counts, np.arange(1, m + 1))
+    p2 = design.p2
+    taken = np.bincount(first_record * p2 + steps, minlength=counts.size * p2)
+    taken = taken.reshape(counts.size, p2).cumsum(axis=0)
+    partial_sums = np.cumsum(np.r_[0.0, np.full(m, config.epsilon)])
+    names = design.base.feature_names
+    return PiecewiseLinearPath(
+        breakpoints=counts.astype(float) * config.epsilon,
+        vertices=partial_sums[taken],
+        segment_active_sets=[()] * (counts.size - 1),
+        parametrization="l1_arc_length",
+        feature_names=list(names) if names else None,
+        truncated=truncated,
+    )
 
 
 def glm_move_direction(
@@ -148,16 +171,18 @@ def glm_move_direction(
     beta: np.ndarray,
     loss: LossModel,
     tie_tolerance: float = TIE_TOLERANCE,
-    zero_tolerance: float = 1e-12,
+    zero_tolerance: float | None = None,
 ) -> MoveDirection:
     """Loss-aware monotone move direction at a mirrored point.
 
     Steps: evaluate the per-observation first derivatives u and weights
-    w at the current predictor; if every column's gradient vanishes the
-    direction is zero. Otherwise the active set collects the columns
-    with the largest negative gradient, a weighted non-negative least
-    squares fit of those columns on -u/w (weights w) gives the raw
-    direction, and the result is normalized to unit coefficient sum.
+    w at the current predictor; if no column's negative gradient exceeds
+    ``zero_tolerance`` (None: 1e-8 x ||response||_2, the stop tolerance of
+    ``integrate_monotone_path``) the direction is zero. Otherwise the
+    active set collects the columns with the largest negative gradient, a
+    weighted non-negative least squares fit of those columns on -u/w
+    (weights w) gives the raw direction, and the result is normalized to
+    unit coefficient sum.
 
     Raises CurvatureError when some weight collapses below 1e-12 (e.g.
     saturated classification probabilities); a smaller step along the
@@ -170,7 +195,7 @@ def glm_move_direction(
     u = loss.first(y, eta)
     g = design.correlations(-u)  # negative gradient per mirrored column
     C = float(g.max())
-    if C <= zero_tolerance:
+    if C <= _stop_tolerance(zero_tolerance, y):
         return MoveDirection(np.zeros(design.p2), ())
     w = loss.second(y, eta)
     if np.any(w <= 1e-12):

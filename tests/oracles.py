@@ -249,3 +249,150 @@ def first_violation_by_enumeration(design, kmax):
                     sub = lp.SignedSubset(indices=idx, signs=tuple(int(x) for x in s))
                     return lp.SearchReport(passed=False, violation=sub, vector=v, checked=checked)
     return lp.SearchReport(passed=True, violation=None, vector=None, checked=checked)
+
+
+def stagewise_reference(design, config, loss=None):
+    """Mirrored epsilon stagewise one step at a time, recording as it goes.
+
+    Each step adds epsilon to the coefficient of the mirrored column with
+    the largest negative loss gradient and updates the squared-loss
+    gradient by that column's signed Gram column. A vertex is copied from
+    the coefficients before every step whose column differs from the
+    previous one, after every ``record_stride`` steps and at the end.
+    Returns the path and the step sequence.
+    """
+    design = design.expanded() if isinstance(design, lp.StandardizedDesign) else design
+    p = design.p
+    y = design.base.y_centered
+    eps = config.epsilon
+    tol = config.stop_correlation_tolerance
+    if tol is None:
+        tol = 1e-8 * float(np.linalg.norm(y))
+    squared = loss is None or loss.name == "squared"
+    if squared:
+        gram = design.base_gram()
+        c0 = design.base.Xs.T @ y
+        g = np.concatenate([c0, -c0])
+    else:
+        eta = np.zeros(design.n)
+    beta = np.zeros(2 * p)
+    counts, vertices, steps = [0], [beta.copy()], []
+
+    def record(m):
+        if m > counts[-1]:
+            counts.append(m)
+            vertices.append(beta.copy())
+
+    truncated = False
+    m = 0
+    while True:
+        if not squared:
+            g = design.correlations(-loss.first(y, eta))
+        if float(g.max()) <= tol:
+            break
+        if m >= config.max_iterations:
+            truncated = True
+            break
+        a = int(np.argmax(g))
+        if steps and a != steps[-1]:
+            record(m)
+        if squared:
+            upd = eps * gram[:, a % p]
+            if a >= p:
+                upd = -upd
+            g[:p] -= upd
+            g[p:] += upd
+        else:
+            eta = eta + eps * design.column(a)
+        beta[a] += eps
+        steps.append(a)
+        m += 1
+        if m % config.record_stride == 0:
+            record(m)
+    record(m)
+    path = lp.PiecewiseLinearPath(
+        breakpoints=np.array(counts, dtype=float) * eps,
+        vertices=np.array(vertices),
+        segment_active_sets=[()] * (len(counts) - 1),
+        parametrization="l1_arc_length",
+        truncated=truncated,
+    )
+    return path, np.array(steps, dtype=np.int64)
+
+
+def index_knots(path, index_by):
+    """Knots and index values of a path, refined segment by segment.
+
+    For the norm, every segment is split at the zero crossings of its
+    signed coordinates, so the norm is linear between knots.
+    """
+    bps = path.breakpoints
+    if index_by == "arclength":
+        return bps.copy(), path.tv_prefix()
+    coll = lp.collapse(path.vertices)
+    knots = [bps[0]]
+    for k in range(path.n_segments):
+        lo, hi = bps[k], bps[k + 1]
+        u, w = coll[k], coll[k + 1]
+        crossing = u * w < 0
+        for t in np.unique(u[crossing] / (u[crossing] - w[crossing])):
+            knots.append(lo + t * (hi - lo))
+        knots.append(hi)
+    knots = np.unique(np.asarray(knots))
+    return knots, np.abs(lp.collapse(path.evaluate(knots))).sum(axis=-1)
+
+
+def first_crossing(knots, values, value, end_rtol=1e-12):
+    """First parameter at which a piecewise-linear index reaches ``value``.
+
+    Scans the segments in order for the first one whose values bracket
+    ``value`` and are not equal, and interpolates on it. A value at or
+    below the first index value maps to the first knot, one past the
+    largest by at most ``end_rtol`` of it to the last knot; a larger one
+    raises ValueError.
+    """
+    if value <= values[0]:
+        return float(knots[0])
+    for k in range(len(values) - 1):
+        lo, hi = values[k], values[k + 1]
+        if min(lo, hi) <= value <= max(lo, hi) and lo != hi:
+            t = (value - lo) / (hi - lo)
+            return float(knots[k] + t * (knots[k + 1] - knots[k]))
+    if value > values.max() * (1.0 + end_rtol):
+        raise ValueError(f"index value {value} beyond the path's range {values.max()}")
+    return float(knots[-1])
+
+
+def compare_paths_reference(a, b, index_by="norm", grid=512, threshold=1e-8):
+    """Sup difference and first divergence of two paths, one index value at a time.
+
+    Returns ``(sup_difference, divergence_index)``: both paths are
+    evaluated at the first crossing of every index value of either path
+    and of an even grid over the common range; the first value whose
+    difference exceeds ``threshold`` is refined by 60 bisection steps.
+    """
+    ka, va = index_knots(a, index_by)
+    kb, vb = index_knots(b, index_by)
+    hi = min(va[-1], vb[-1])
+    values = np.union1d(np.union1d(va[va <= hi], vb[vb <= hi]), np.linspace(0.0, hi, grid))
+
+    def diff_at(v):
+        ca = lp.collapse(a.evaluate(first_crossing(ka, va, v)))
+        cb = lp.collapse(b.evaluate(first_crossing(kb, vb, v)))
+        return float(np.max(np.abs(ca - cb)))
+
+    diffs = np.array([diff_at(float(v)) for v in values])
+    over = np.flatnonzero(diffs > threshold)
+    divergence = None
+    if over.size:
+        k = int(over[0])
+        lo_v = float(values[k - 1]) if k else 0.0
+        hi_v = float(values[k])
+        for _ in range(60):
+            mid = 0.5 * (lo_v + hi_v)
+            if diff_at(mid) > threshold:
+                hi_v = mid
+            else:
+                lo_v = mid
+        divergence = hi_v
+    return float(diffs.max()), divergence

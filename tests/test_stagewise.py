@@ -25,6 +25,7 @@ from oracles import (
     nnls_by_enumeration,
     orthonormal_design,
     rng_for,
+    stagewise_reference,
     sup_distance,
 )
 
@@ -224,7 +225,84 @@ class TestRecordedVertices:
         assert set(range(0, counts[-1] + 1, stride)) <= set(counts.tolist())
 
 
+def _sine(seed):
+    return standardize(lp.gen_sine(seed=seed))
+
+
+def _zero_response(design):
+    return lp.StandardizedDesign(Xs=design.Xs, centers=design.centers, scales=design.scales,
+                                 y_centered=np.zeros(design.n), y_mean=0.0)
+
+
+def _p_greater_than_n():
+    rng = rng_for(21)
+    return standardize(lp.Dataset(X=rng.standard_normal((20, 60)), y=rng.standard_normal(20)))
+
+
+REFERENCE_CASES = [
+    *((f"sine{seed}-stride{stride}", lambda seed=seed: _sine(seed),
+       dict(epsilon=1e-3, max_iterations=8000, record_stride=stride))
+      for seed in range(3) for stride in (1, 7, 100)),
+    ("block30x100", lambda: standardize(lp.gen_block(n=30, p=100, seed=0)[0]),
+     dict(epsilon=1e-2, max_iterations=20_000, record_stride=7)),
+    ("p>n-20x60", _p_greater_than_n, dict(epsilon=1e-2, max_iterations=5000, record_stride=3)),
+    ("no-budget", lambda: _sine(0), dict(epsilon=1e-3, max_iterations=0)),
+    ("truncating", lambda: _sine(1), dict(epsilon=1e-3, max_iterations=777, record_stride=10)),
+    ("zero-response", lambda: _zero_response(_sine(0)), dict(epsilon=1e-3)),
+]
+
+
+class TestMatchesPerStepReference:
+    """The vertices built from the step sequence are the per-step loop's, bit for bit."""
+
+    @staticmethod
+    def _assert_same(path, steps, ref, ref_steps):
+        np.testing.assert_array_equal(steps, ref_steps)
+        assert np.array_equal(path.breakpoints, ref.breakpoints)
+        assert np.array_equal(path.vertices, ref.vertices)
+        assert path.truncated == ref.truncated
+        assert path.segment_active_sets == ref.segment_active_sets
+
+    @pytest.mark.parametrize("make, options", [case[1:] for case in REFERENCE_CASES],
+                             ids=[case[0] for case in REFERENCE_CASES])
+    def test_squared_loss(self, make, options):
+        design = make()
+        cfg = StagewiseConfig(**options)
+        ref, ref_steps = stagewise_reference(design, cfg)
+        self._assert_same(*monotone_incremental(design.expanded(), cfg, return_steps=True),
+                          ref, ref_steps)
+        signed = lp.PiecewiseLinearPath(ref.breakpoints, lp.expand(collapse(ref.vertices)),
+                                        ref.segment_active_sets, ref.parametrization,
+                                        truncated=ref.truncated)
+        self._assert_same(*fs_epsilon(design, cfg, return_steps=True), signed, ref_steps)
+
+    def test_reference_cases_cover_both_stops(self):
+        stops = {stagewise_reference(make(), StagewiseConfig(**options))[0].truncated
+                 for _, make, options in REFERENCE_CASES}
+        assert stops == {True, False}
+
+    @pytest.mark.parametrize("budget, stride", [(400, 1), (400, 9), (0, 100)])
+    def test_logistic_loss(self, budget, stride):
+        design = signal_logistic_design(seed=15)
+        cfg = StagewiseConfig(epsilon=0.01, max_iterations=budget, record_stride=stride)
+        ref, ref_steps = stagewise_reference(design, cfg, loss=logistic_loss())
+        self._assert_same(*monotone_incremental(design.expanded(), cfg, loss=logistic_loss(),
+                                                return_steps=True), ref, ref_steps)
+
+
 class TestGlmMoveDirection:
+    def test_default_zero_tolerance_is_relative(self):
+        """With squared loss, y x 1e-15 moves on the support y does: the
+        default tolerance is 1e-8 x ||y||, as integrate_monotone_path's."""
+        data = lp.gen_block(n=30, p=100, seed=0)[0]
+        supports = []
+        for scale in (1.0, 1e-15):
+            ed = standardize(lp.Dataset(X=data.X, y=data.y * scale)).expanded()
+            move = glm_move_direction(ed, np.zeros(ed.p2), squared_error_loss())
+            supports.append(move.support)
+        assert supports[0] != ()
+        assert supports[1] == supports[0]
+
     def test_squared_error_coincides_with_monotone_direction(self):
         design = gaussian_instance(20, 5, seed=7, correlated=True)
         ed = design.expanded()
