@@ -8,24 +8,28 @@ one signed subset, searches all of them, and provides the closed-form
 Gram and inverse Gram of standardized step-function (threshold
 indicator) bases, for which the condition always holds.
 
-The search runs in the calling process and evaluates the subsets of one
-size in batches: one stacked inverse per batch of 256 subsets and, since
-v(-s) = v(s), only the sign vectors that start with +1. Its memory is
-bounded by one batch and one size's index array. It returns the first
-violation in a fixed canonical order, or raises for the first singular
-subset before any violation, or for a violating subset that
-``check_condition`` would refuse as singular."""
+The search runs in the calling process and builds each subset size from
+the one before it: every size-k subset is a size-(k-1) subset extended by
+a later column, and its inverse Cholesky factor and inverse Gram are its
+prefix's bordered by one row, so no subset is factored or inverted from
+scratch. Since v(-s) = v(s), only the sign vectors that start with +1 are
+evaluated. Its memory is bounded by the previous size's factors, the
+current size's and one chunk of vectors. It returns the first violation
+in a fixed canonical order, or raises for the first singular subset
+before any violation; one pivot rule (``linalg.PIVOT_RTOL``) decides
+singularity here and in ``check_condition``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 import numpy as np
 
 from .design import StandardizedDesign
 from .errors import CheckBudgetError, ConfigError, DataError, DegenerateDesignError, TiedKnotError
+from .linalg import CholeskyFactor, _independent
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,8 @@ def check_condition(design: StandardizedDesign, subset: SignedSubset) -> Conditi
 
     Returns the vector v = S (X_A' X_A)^{-1} S 1 and passes when its
     smallest entry is at least -1e-10. Raises DataError for an index
-    outside [0, p).
+    outside [0, p), and DegenerateDesignError for a subset that
+    ``exhaustive_check`` would refuse as singular (see ``_subset_gram``).
     """
     idx = list(subset.indices)
     bad = [j for j in idx if not 0 <= j < design.p]
@@ -79,12 +84,18 @@ def check_condition(design: StandardizedDesign, subset: SignedSubset) -> Conditi
 
 
 def _subset_gram(design: StandardizedDesign, indices: tuple[int, ...]) -> np.ndarray:
-    """Gram block of some columns; DegenerateDesignError unless Cholesky succeeds."""
+    """Gram block of some columns, in the order given.
+
+    Raises DegenerateDesignError unless ``CholeskyFactor``'s pivot rule
+    admits each column after the lower-indexed ones, the order in which
+    the search factors a subset.
+    """
     Xa = design.Xs[:, list(indices)]
     gram = Xa.T @ Xa
+    order = np.argsort(indices)
     try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
+        CholeskyFactor.from_gram(gram[np.ix_(order, order)])
+    except DegenerateDesignError:
         raise DegenerateDesignError(
             message=f"columns {indices} have a singular Gram matrix"
         ) from None
@@ -100,53 +111,75 @@ def _sign_matrix(k: int) -> np.ndarray:
     return np.array(list(product((1.0, -1.0), repeat=k)))
 
 
-_BATCH = 256  # subsets per stacked inverse
-_BATCH_ENTRIES = 1 << 18  # cap on subsets x sign rows x k of one batch's vectors
+_CHUNK = 1 << 16  # cap on the vector entries (subsets x sign rows x k) of one chunk
 
 
-def _first_violation(M: np.ndarray, signs: np.ndarray):
-    """First (member, signs, vector) violating in a stack of inverses, or None."""
-    V = _subset_vectors(M, signs)
-    if not (V < _MIN_ENTRY).any():  # one pass over the batch; rows only on a hit
-        return None
-    bad = np.flatnonzero(V.min(axis=2) < _MIN_ENTRY)
-    member, row = divmod(int(bad[0]), len(signs))
-    return member, tuple(int(s) for s in signs[row]), V[member, row].copy()
+def _extensions(rows: np.ndarray, p: int):
+    """Parent and new column of every one-column extension of the subsets
+    ``rows`` (one subset per column of ``rows``).
 
-
-def _first_singular(stack: np.ndarray) -> int:
-    for i, sub in enumerate(stack):
-        try:
-            np.linalg.inv(sub)
-        except np.linalg.LinAlgError:
-            return i
-
-
-def _scan(gram: np.ndarray, subsets: np.ndarray, signs: np.ndarray):
-    """First violation among index rows of one size, in row order, or None.
-
-    Raises DegenerateDesignError for the first singular subset when no
-    violation comes before it.
+    Each subset grows by every column after its last one, so the extensions
+    of subsets in lexicographic order are again in lexicographic order.
     """
-    k = subsets.shape[1]
-    step = max(1, min(_BATCH, _BATCH_ENTRIES // (len(signs) * k)))
-    for start in range(0, len(subsets), step):
-        J = subsets[start:start + step]
-        sub = gram[J[:, :, None], J[:, None, :]]
-        singular = None
-        try:
-            M = np.linalg.inv(sub)
-        except np.linalg.LinAlgError:
-            singular = _first_singular(sub)
-            M = np.linalg.inv(sub[:singular])
-        found = _first_violation(M, signs)
-        if found is not None:
-            member, s, vec = found
-            return start + member, s, vec
-        if singular is not None:
-            idx = tuple(int(j) for j in J[singular])
-            raise DegenerateDesignError(message=f"columns {idx} have a singular Gram matrix")
-    return None
+    last = rows[-1] if len(rows) else np.full(rows.shape[1], -1)
+    counts = p - 1 - last
+    parent = np.repeat(np.arange(len(last)), counts)
+    col = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+    return parent, col
+
+
+def _grow(gram: np.ndarray, rows: np.ndarray, T: np.ndarray, M: np.ndarray, top: np.ndarray,
+          par: np.ndarray, col: np.ndarray, Tc: np.ndarray | None, Mc: np.ndarray):
+    """Write into ``Tc`` and ``Mc`` the inverse factors and inverse Grams of
+    the subsets ``rows[:, par]`` extended by ``col``, stacked along the last
+    axis, up to the first one that the pivot rule refuses; return how many.
+
+    Each factor T is its prefix's bordered as in
+    ``CholeskyFactor.append_column``: w = T g, d^2 = g_jj - |w|^2, new row
+    -w'T / d and corner 1 / d. M = T'T is its prefix's plus the outer
+    product of the new row of T. Sums run over the small axis in index
+    order, so no entry's rounding depends on the number of subsets.
+    ``Tc`` may be None when the factors are not needed.
+    """
+    Tp = T.take(par, axis=2)
+    g = gram.take(rows[:, par] * len(gram) + col)
+    w = np.zeros_like(g)
+    for i in range(len(g)):  # w = T g, T lower triangular
+        w[i:] += Tp[i:, i] * g[i]
+    d2 = gram[col, col]
+    for x in w:
+        d2 = d2 - x * x
+    ok = _independent(d2, np.maximum(top[par], gram[col, col]))
+    size = len(par) if ok.all() else int(np.argmin(ok))
+    d, w, Tp = np.sqrt(d2[:size]), w[:, :size], Tp[:, :, :size]
+    new = np.zeros((len(w) + 1, size))  # the new row of T
+    for i in range(len(w)):
+        new[: i + 1] += w[i] * Tp[i, : i + 1]
+    new[:-1] /= -d
+    new[-1] = 1.0 / d
+    if Tc is not None:
+        Tc[:-1, :-1, :size], Tc[:-1, -1, :size], Tc[-1, :, :size] = Tp, 0.0, new
+    Mc = Mc[:, :, :size]
+    np.multiply(new[:-1, None], new[:-1], out=Mc[:-1, :-1])
+    Mc[:-1, :-1] += M.take(par[:size], axis=2)
+    Mc[-1] = Mc[:, -1] = new * new[-1]
+    return size
+
+
+def _first_violation(M: np.ndarray, signs: np.ndarray, V: np.ndarray):
+    """First (member, signs, vector) violating in a stack of inverse Grams, or None.
+
+    ``M[:, :, i]`` is member i's inverse Gram; ``V`` (members, sign rows, k)
+    receives v(s) = s * (M s) for every member and sign row, from one
+    ``signs @ M`` over the stack.
+    """
+    np.matmul(signs, M.transpose(2, 0, 1), out=V)
+    V *= signs
+    low = V < _MIN_ENTRY
+    if not low.any():
+        return None
+    member, row = divmod(int(np.flatnonzero(low.any(axis=2))[0]), len(signs))
+    return member, tuple(int(s) for s in signs[row]), V[member, row].copy()
 
 
 def exhaustive_check(
@@ -159,23 +192,32 @@ def exhaustive_check(
 
     Subsets are visited in size order, then lexicographically by index
     tuple; signs with +1 before -1 position by position. The first
-    violation in that canonical order is returned. If a subset's Gram
-    matrix is singular (``np.linalg.inv`` fails) before any violation,
-    DegenerateDesignError names that subset. So it does for the violating
-    subset itself if its Gram block fails ``check_condition``'s Cholesky
-    test: ``inv`` succeeds on a numerically singular block, and the vector
-    it gives is rounding noise.
+    violation in that canonical order is returned. If a subset is singular
+    before any violation, DegenerateDesignError names it. A subset is
+    singular when the pivot rule of ``linalg`` (``PIVOT_RTOL`` times the
+    largest Gram diagonal among its columns) refuses its last column after
+    the others: ``check_condition`` refuses exactly these subsets.
 
-    The subsets of one size k are built as one (m, k) index array, one
-    size at a time, so a violation also skips the larger sizes. They are
-    evaluated in batches of up to 256: one gather of their Gram blocks,
-    one stacked inverse, and the vectors of every sign row at once. Only
-    the 2^(k-1) sign rows with s_1 = +1 are evaluated: v(-s) equals v(s)
-    exactly (negation is exact in floating point) and -s comes later in
-    canonical order, so the first violation is always among them. A
-    batch holds at most 256 subsets and 2^18 vector entries (or a single
-    subset, if its sign rows alone exceed that), so peak memory is
-    bounded by the batch and one size's index array.
+    Each size is built from the one before it. The size-k subsets are the
+    size-(k-1) subsets extended by every column after their last one, which
+    is the order of ``itertools.combinations``. Each subset's inverse
+    Cholesky factor T = L^-1 is its prefix's bordered by one row, as in
+    ``CholeskyFactor.append_column`` (see ``_grow``), and its inverse Gram
+    M = T'T its prefix's plus one outer product. The subsets of one size
+    are processed in chunks of consecutive subsets; one ``signs @ M`` over
+    a chunk's stacked inverse Grams gives the vectors v(s) = s * (M s) of
+    all its subsets and sign rows. Only the 2^(k-1) sign rows with s_1 = +1
+    are evaluated: v(-s) equals v(s) exactly (negation is exact in floating
+    point) and -s comes later in canonical order, so the first violation
+    is always among them. Every entry is computed the same way whatever
+    the chunk, so the report does not depend on the chunking.
+
+    A chunk holds at most 2^16 vector entries (or a single subset, if its
+    sign rows alone exceed that). Only the previous size's subsets,
+    factors and inverse Grams are kept, so peak memory is bounded by
+    those, the current size's (at the last size, one chunk's inverse
+    Grams) and one chunk of vectors: about 3 MB for the 21,699 subsets of
+    size at most 5 over 20 columns.
 
     The search runs in the calling process. ``workers`` is accepted for
     existing callers and ignored.
@@ -196,14 +238,40 @@ def exhaustive_check(
         )
 
     gram = design.Xs.T @ design.Xs
+    # Subsets, their inverse factors T and inverse Grams M = T'T are stacked
+    # along the last axis, starting from the empty subset, the parent of
+    # every size-1 subset. ``top`` is the largest Gram diagonal among each
+    # subset's columns.
+    rows, T, M, top = (np.zeros((0, 1), dtype=np.intp), np.zeros((0, 0, 1)), np.zeros((0, 0, 1)),
+                       np.zeros(1))
     for k in range(1, kmax + 1):
-        subsets = np.fromiter(combinations(range(p), k), dtype=(np.intp, k), count=comb(p, k))
-        hit = _scan(gram, subsets, _sign_matrix(k)[: 2 ** (k - 1)])
-        if hit is not None:
-            pos, s, vec = hit
-            sub = SignedSubset(indices=tuple(int(j) for j in subsets[pos]), signs=s)
-            _subset_gram(design, sub.indices)  # raises where check_condition would
-            return SearchReport(passed=False, violation=sub, vector=vec, checked=total)
+        parent, col = _extensions(rows, p)
+        signs = _sign_matrix(k)[: 2 ** (k - 1)]
+        keep = k < kmax
+        step = max(1, _CHUNK // (len(signs) * k))
+        # Factors of the whole size when they are kept for the next, else
+        # the inverse Grams of one chunk at a time.
+        width = len(parent) if keep else min(step, len(parent))
+        Tk = np.empty((k, k, width)) if keep else None
+        Mk = np.empty((k, k, width))
+        V = np.empty((min(step, len(parent)), len(signs), k))
+        for start in range(0, len(parent), step):
+            par, j = parent[start:start + step], col[start:start + step]
+            at = start if keep else 0
+            size = _grow(gram, rows, T, M, top, par, j,
+                         Tk[:, :, at:at + len(par)] if keep else None, Mk[:, :, at:at + len(par)])
+            found = _first_violation(Mk[:, :, at:at + size], signs, V[:size])
+            if found is not None:
+                member, s, vec = found
+                idx = (*map(int, rows[:, par[member]]), int(j[member]))
+                return SearchReport(passed=False, violation=SignedSubset(indices=idx, signs=s),
+                                    vector=vec, checked=total)
+            if size < len(par):
+                idx = (*map(int, rows[:, par[size]]), int(j[size]))
+                raise DegenerateDesignError(message=f"columns {idx} have a singular Gram matrix")
+        if keep:
+            rows, T, M = np.vstack([rows[:, parent], col]), Tk, Mk
+            top = np.maximum(top[parent], gram[col, col])
     return SearchReport(passed=True, violation=None, vector=None, checked=total)
 
 

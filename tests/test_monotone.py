@@ -1,5 +1,6 @@
 import concurrent.futures
 import pickle
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -21,6 +22,7 @@ from l1paths import (
     standardize,
 )
 from l1paths import monotone
+from l1paths.linalg import PIVOT_RTOL
 from oracles import first_violation_by_enumeration, orthonormal_design, rng_for
 
 
@@ -263,10 +265,10 @@ class TestSearchAgainstOracle:
         sizes = {len(r.violation.indices) for r in reports if not r.passed}
         assert sizes == {3, 4, 5, 6}
 
-    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("batch", [1, 7, 100])
     def test_batch_size_does_not_change_report(self, batch, monkeypatch):
         default = [exhaustive_check(d) for _, d in SEARCH_DESIGNS]
-        monkeypatch.setattr(monotone, "_BATCH", batch)
+        monkeypatch.setattr(monotone, "_CHUNK", batch)
         for (name, design), ref in zip(SEARCH_DESIGNS, default):
             assert same_report(exhaustive_check(design), ref), name
         pooled = exhaustive_check(SEARCH_DESIGNS[-1][1], workers=2)
@@ -274,11 +276,11 @@ class TestSearchAgainstOracle:
 
 
 class TestSearchErrors:
-    @pytest.mark.parametrize("batch", [None, 1])
+    @pytest.mark.parametrize("batch", [None, 1, 7])
     def test_pool_agrees_with_serial_on_singular_subsets(self, batch, monkeypatch):
         # A later chunk's singular subset must not hide an earlier violation.
         if batch is not None:
-            monkeypatch.setattr(monotone, "_BATCH", batch)
+            monkeypatch.setattr(monotone, "_CHUNK", batch)
         for design in singular_triple_designs(6):
             outcomes = []
             for workers in (1, 2):
@@ -291,7 +293,7 @@ class TestSearchErrors:
 
     def test_search_refuses_violation_on_numerically_singular_subset(self):
         # inv succeeds on this pair's Gram block and gives a "violation" of
-        # about -5.6e14; check_condition's Cholesky test refuses the block.
+        # about -5.6e14; the pivot rule refuses the pair in both calls.
         x = rng_for(2).standard_normal(20)
         design = standardize(lp.Dataset(X=np.column_stack([x, 2 * x + 1e-9]), y=np.zeros(20)))
         with pytest.raises(lp.DegenerateDesignError) as err:
@@ -301,11 +303,31 @@ class TestSearchErrors:
             check_condition(design, SignedSubset((0, 1), (1, -1)))
         assert str(same.value) == str(err.value)
 
-    @pytest.mark.parametrize("batch", [None, 1, 2])
+    def test_pivot_rule_decides_singular_subsets(self):
+        # The pair's second Cholesky pivot is positive, so np.linalg.cholesky
+        # accepts its Gram block, but it is below PIVOT_RTOL times the Gram
+        # diagonal n: the search and check_condition both refuse the pair,
+        # whatever the order of its indices.
+        x, z = rng_for(3).standard_normal((2, 20))
+        design = standardize(lp.Dataset(X=np.column_stack([x, x + 3e-7 * z]), y=np.zeros(20)))
+        G = design.Xs.T @ design.Xs
+        assert 0.0 < G[1, 1] - G[0, 1] ** 2 / G[0, 0] < PIVOT_RTOL * 20
+        np.linalg.cholesky(G)
+        with pytest.raises(lp.DegenerateDesignError) as err:
+            exhaustive_check(design)
+        assert str(err.value) == "columns (0, 1) have a singular Gram matrix"
+        for signs in [(1, 1), (1, -1)]:
+            with pytest.raises(lp.DegenerateDesignError) as same:
+                check_condition(design, SignedSubset((0, 1), signs))
+            assert str(same.value) == str(err.value)
+        with pytest.raises(lp.DegenerateDesignError, match=r"columns \(1, 0\) have a singular"):
+            check_condition(design, SignedSubset((1, 0), (1, 1)))
+
+    @pytest.mark.parametrize("batch", [None, 1, 2, 7])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_singular_subset_raises_with_its_columns(self, workers, batch, monkeypatch):
         if batch is not None:
-            monkeypatch.setattr(monotone, "_BATCH", batch)
+            monkeypatch.setattr(monotone, "_CHUNK", batch)
         with pytest.raises(lp.DegenerateDesignError) as err:
             exhaustive_check(hadamard_design(), workers=workers)
         assert str(err.value) == "columns (0, 1, 6) have a singular Gram matrix"
@@ -325,6 +347,85 @@ class TestSearchErrors:
             assert type(back) is type(err)
             assert str(back) == str(err)
             assert vars(back) == vars(err)
+
+
+def correlated_blocks(seed, n, blocks, size, rho):
+    """Blocks of columns that share one Gaussian factor each, so that two
+    columns of a block have correlation about ``rho``."""
+    rng = rng_for(seed)
+    cols = []
+    for _ in range(blocks):
+        z = rng.standard_normal(n)
+        cols += [z + np.sqrt(1.0 / rho - 1.0) * rng.standard_normal(n) for _ in range(size)]
+    return standardize(lp.Dataset(X=np.column_stack(cols), y=np.zeros(n)))
+
+
+class TestAdversarialSearch:
+    @pytest.mark.parametrize("rho", [0.999, 0.9999])
+    @pytest.mark.parametrize("blocks,size", [(1, 7), (2, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_correlated_blocks_match_enumeration(self, rho, blocks, size, seed):
+        design = correlated_blocks(seed, 40, blocks, size, rho)
+        corr = design.Xs.T @ design.Xs / 40
+        assert min(corr[b * size:(b + 1) * size, b * size:(b + 1) * size].min()
+                   for b in range(blocks)) >= 0.99
+        ref = first_violation_by_enumeration(design, design.p)
+        rep = exhaustive_check(design)
+        assert (rep.passed, rep.violation, rep.checked) == (ref.passed, ref.violation, ref.checked)
+        if ref.vector is None:
+            assert rep.vector is None
+        else:
+            np.testing.assert_allclose(rep.vector, ref.vector,
+                                       rtol=1e-10, atol=1e-10 * np.abs(ref.vector).max())
+
+    @pytest.mark.parametrize("copy", [1.0, -1.0], ids=["duplicated", "negated"])
+    def test_copied_column_raises_naming_the_pair(self, copy):
+        # Standardized pairs never violate, so the search reaches the pair.
+        X = rng_for(8).standard_normal((30, 5))
+        X[:, 3] = copy * X[:, 1]
+        design = standardize(lp.Dataset(X=X, y=np.zeros(30)))
+        with pytest.raises(lp.DegenerateDesignError) as err:
+            exhaustive_check(design)
+        assert str(err.value) == "columns (1, 3) have a singular Gram matrix"
+        with pytest.raises(lp.DegenerateDesignError) as same:
+            check_condition(design, SignedSubset((1, 3), (1, 1)))
+        assert str(same.value) == str(err.value)
+
+    def test_more_columns_than_rows(self):
+        # Centering leaves n - 1 dimensions, so the first n columns are the
+        # first singular subset. The full search raises there unless a
+        # smaller subset violates first, as the enumeration up to size
+        # n - 1 decides.
+        outcomes = set()
+        for n, p, seed in [(6, 8, 0), (6, 8, 1), (6, 8, 2), (3, 4, 0)]:
+            X = rng_for(900 + seed).standard_normal((n, p))
+            design = standardize(lp.Dataset(X=X, y=np.zeros(n)))
+            ref = first_violation_by_enumeration(design, n - 1)
+            if ref.passed:
+                with pytest.raises(lp.DegenerateDesignError) as err:
+                    exhaustive_check(design)
+                assert str(err.value) == f"columns {tuple(range(n))} have a singular Gram matrix"
+            else:
+                rep = exhaustive_check(design)
+                assert (rep.passed, rep.violation) == (False, ref.violation)
+                np.testing.assert_allclose(rep.vector, ref.vector,
+                                           rtol=1e-10, atol=1e-10 * np.abs(ref.vector).max())
+            outcomes.add(ref.passed)
+        assert outcomes == {True, False}
+
+    def test_search_memory_is_bounded(self):
+        # 21,699 subsets of size at most 5 over 20 step columns; the search
+        # keeps one size's factors and one chunk, not every subset's.
+        design = pc_design_from_counts(range(290, 10, -14), 300)
+        exhaustive_check(design, max_subset_size=5)
+        tracemalloc.start()
+        try:
+            rep = exhaustive_check(design, max_subset_size=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 4 * 2**20
 
 
 class TestAnalyticGram:
