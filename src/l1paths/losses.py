@@ -2,7 +2,8 @@
 
 A loss exposes, for response y and linear predictor eta: the value
 l(y, eta), the first derivative u = dl/d(eta), and the second derivative
-w = d2l/d(eta)2 >= 0. The total model loss is the sum over observations.
+w = d2l/d(eta)2 >= 0; ``derivatives`` gives u and w from one evaluation.
+The total model loss is the sum over observations.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ class LossModel:
 
     def second(self, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def derivatives(self, y: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first derivatives u and the weights w together, each equal
+        to what ``first`` and ``second`` return."""
+        return self.first(y, eta), self.second(y, eta)
 
     def total(self, y: np.ndarray, eta: np.ndarray) -> float:
         return float(self.values(y, eta).sum())
@@ -86,6 +92,12 @@ class LogisticLoss(LossModel):
     def second(self, y, eta):
         p = expit(np.asarray(eta, dtype=float))
         return p * (1.0 - p)
+
+    def derivatives(self, y, eta):
+        # One response check and one expit for both derivatives.
+        self.validate_response(y)
+        p = expit(np.asarray(eta, dtype=float))
+        return p - y, p * (1.0 - p)
 
 
 def squared_error_loss() -> LossModel:

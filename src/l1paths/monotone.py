@@ -13,11 +13,12 @@ the one before it: every size-k subset is a size-(k-1) subset extended by
 a later column, and its inverse Cholesky factor and inverse Gram are its
 prefix's bordered by one row, so no subset is factored or inverted from
 scratch. Since v(-s) = v(s), only the sign vectors that start with +1 are
-evaluated. Its memory is bounded by the previous size's factors, the
-current size's and one chunk of vectors. It returns the first violation
-in a fixed canonical order, or raises for the first singular subset
-before any violation; one pivot rule (``linalg.PIVOT_RTOL``) decides
-singularity here and in ``check_condition``."""
+evaluated, and none of a subset whose inverse Gram rows bound every entry
+of v above the threshold. Its memory is bounded by the previous size's
+factors, the current size's and one chunk of vectors. It returns the first
+violation in a fixed canonical order, or raises for the first singular
+subset before any violation; one pivot rule (``linalg.PIVOT_RTOL``)
+decides singularity here and in ``check_condition``."""
 
 from __future__ import annotations
 
@@ -64,6 +65,9 @@ class SearchReport:
 
 
 _MIN_ENTRY = -1e-10
+# Rounding margin of the row bound that lets the search skip a subset's
+# sign rows, relative to k x sum_b |M_ab| (see ``_first_violation``).
+_ROW_BOUND_RTOL = 8 * float(np.finfo(float).eps)
 
 
 def check_condition(design: StandardizedDesign, subset: SignedSubset) -> ConditionReport:
@@ -166,20 +170,35 @@ def _grow(gram: np.ndarray, rows: np.ndarray, T: np.ndarray, M: np.ndarray, top:
     return size
 
 
-def _first_violation(M: np.ndarray, signs: np.ndarray, V: np.ndarray):
+def _first_violation(M: np.ndarray, signs: np.ndarray, V: np.ndarray, spare: np.ndarray):
     """First (member, signs, vector) violating in a stack of inverse Grams, or None.
 
-    ``M[:, :, i]`` is member i's inverse Gram; ``V`` (members, sign rows, k)
-    receives v(s) = s * (M s) for every member and sign row, from one
-    ``signs @ M`` over the stack.
+    ``M[:, :, i]`` is member i's inverse Gram. Entry a of v(s) is at least
+    M_aa - sum_{b != a} |M_ab| whatever the signs, so a member whose bound
+    clears ``_MIN_ENTRY`` on every row by more than the rounding of v
+    (``_ROW_BOUND_RTOL`` x k x sum_b |M_ab|) cannot violate and is skipped.
+    The others are gathered into ``spare`` (at least two members wide, so
+    that numpy multiplies them with the same strided loop as the whole
+    stack), and ``V`` (members, sign rows, k) receives v(s) = s * (M s)
+    for each of them and every sign row, from one ``signs @ M``.
     """
+    k, m = len(M), M.shape[2]
+    abs_sums = np.abs(M).sum(axis=1)
+    clear = 2.0 * np.diagonal(M).T - (1.0 + _ROW_BOUND_RTOL * k) * abs_sums >= _MIN_ENTRY
+    left = np.flatnonzero(~clear.all(axis=0))
+    if len(left) == 0:
+        return None
+    if len(left) < m:
+        spare[:, :, : len(left)] = M[:, :, left]
+        M = spare[:, :, : len(left)]
+    V = V[: len(left)]
     np.matmul(signs, M.transpose(2, 0, 1), out=V)
     V *= signs
     low = V < _MIN_ENTRY
     if not low.any():
         return None
     member, row = divmod(int(np.flatnonzero(low.any(axis=2))[0]), len(signs))
-    return member, tuple(int(s) for s in signs[row]), V[member, row].copy()
+    return int(left[member]), tuple(int(s) for s in signs[row]), V[member, row].copy()
 
 
 def exhaustive_check(
@@ -209,8 +228,12 @@ def exhaustive_check(
     all its subsets and sign rows. Only the 2^(k-1) sign rows with s_1 = +1
     are evaluated: v(-s) equals v(s) exactly (negation is exact in floating
     point) and -s comes later in canonical order, so the first violation
-    is always among them. Every entry is computed the same way whatever
-    the chunk, so the report does not depend on the chunking.
+    is always among them. A subset none of whose sign rows can violate,
+    because each row a of M has M_aa - sum_{b != a} |M_ab| above the
+    threshold by a rounding margin, skips its sign rows (see
+    ``_first_violation``). Every entry is computed the same way whatever
+    the chunk and whichever subsets are skipped, so the report does not
+    depend on either.
 
     A chunk holds at most 2^16 vector entries (or a single subset, if its
     sign rows alone exceed that). Only the previous size's subsets,
@@ -255,12 +278,13 @@ def exhaustive_check(
         Tk = np.empty((k, k, width)) if keep else None
         Mk = np.empty((k, k, width))
         V = np.empty((min(step, len(parent)), len(signs), k))
+        spare = np.empty((k, k, max(2, len(V))))
         for start in range(0, len(parent), step):
             par, j = parent[start:start + step], col[start:start + step]
             at = start if keep else 0
             size = _grow(gram, rows, T, M, top, par, j,
                          Tk[:, :, at:at + len(par)] if keep else None, Mk[:, :, at:at + len(par)])
-            found = _first_violation(Mk[:, :, at:at + size], signs, V[:size])
+            found = _first_violation(Mk[:, :, at:at + size], signs, V, spare)
             if found is not None:
                 member, s, vec = found
                 idx = (*map(int, rows[:, par[member]]), int(j[member]))

@@ -9,11 +9,14 @@ run read back in the original coordinates (bump the most-correlated
 coefficient by +/- epsilon).
 
 An explicit Euler integrator follows the loss-aware monotone move
-direction in arc length.
+direction in arc length. Where a single column has the largest negative
+gradient, that column is the direction and no weighted non-negative
+least squares fit runs; only ties of two or more columns need one.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -21,7 +24,14 @@ import numpy as np
 
 from .design import StandardizedDesign
 from .errors import ConfigError, CurvatureError, StepSizeError
-from .lars import TIE_TOLERANCE, MoveDirection, _as_expanded, _nnls_direction, _tied_set
+from .lars import (
+    TIE_TOLERANCE,
+    MoveDirection,
+    _as_expanded,
+    _nnls_direction,
+    _tied_set,
+    _unit_direction,
+)
 from .losses import LossModel
 from .path import PiecewiseLinearPath, _PathRecorder, collapse, expand
 
@@ -37,8 +47,8 @@ class StagewiseConfig:
     record_stride: int = 100
 
     def validate(self):
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.record_stride < 1:
             raise ConfigError("record_stride must be at least 1")
         if self.max_iterations < 0:
@@ -179,30 +189,32 @@ def glm_move_direction(
     w at the current predictor; if no column's negative gradient exceeds
     ``zero_tolerance`` (None: 1e-8 x ||response||_2, the stop tolerance of
     ``integrate_monotone_path``) the direction is zero. Otherwise the
-    active set collects the columns with the largest negative gradient, a
-    weighted non-negative least squares fit of those columns on -u/w
-    (weights w) gives the raw direction, and the result is normalized to
-    unit coefficient sum.
+    active set collects the columns with the largest negative gradient C.
+    A single column tied at C > 0 is the direction by itself: the weighted
+    fit on it alone is C / G_aa > 0, which unit mass scales to exactly 1.
+    Two or more tied columns take a weighted non-negative least squares
+    fit of those columns on -u/w (weights w) as the raw direction,
+    normalized to unit coefficient sum.
 
     Raises CurvatureError when some weight collapses below 1e-12 (e.g.
-    saturated classification probabilities); a smaller step along the
-    path avoids the saturation.
+    saturated classification probabilities), whatever the number of tied
+    columns; a smaller step along the path avoids the saturation.
     """
     design = _as_expanded(design)
     beta = np.asarray(beta, dtype=float)
     y = design.base.y_centered
-    eta = design.predict(beta)
-    u = loss.first(y, eta)
+    u, w = loss.derivatives(y, design.predict(beta))
     g = design.correlations(-u)  # negative gradient per mirrored column
     C = float(g.max())
     if C <= _stop_tolerance(zero_tolerance, y):
         return MoveDirection(np.zeros(design.p2), ())
-    w = loss.second(y, eta)
     if np.any(w <= 1e-12):
         raise CurvatureError(
             "second-derivative weights collapsed to zero; reduce the step size"
         )
     active = _tied_set(g, C, tie_tolerance)
+    if active.size == 1 and C > 0.0:
+        return _unit_direction(design.p2, active, np.ones(1))
     return _nnls_direction(design, active, g, weights=w)[0]
 
 
@@ -218,8 +230,22 @@ class StepControl:
     record_stride: int = 100
 
     def validate(self):
-        if self.step <= 0:
-            raise ConfigError("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ConfigError(f"step must be finite and positive, got {self.step}")
+        if self.arc_budget is not None and not (
+            math.isfinite(self.arc_budget) and self.arc_budget > 0
+        ):
+            raise ConfigError(f"arc_budget must be finite and positive, got {self.arc_budget}")
+        if not 0 < self.min_step_factor <= 1:
+            raise ConfigError(f"min_step_factor must be in (0, 1], got {self.min_step_factor}")
+        if self.max_steps < 0:
+            raise ConfigError("max_steps must be non-negative")
+        if self.gradient_tolerance is not None and not (
+            math.isfinite(self.gradient_tolerance) and self.gradient_tolerance >= 0
+        ):
+            raise ConfigError(
+                f"gradient_tolerance must be finite and non-negative, got {self.gradient_tolerance}"
+            )
         if self.record_stride < 1:
             raise ConfigError("record_stride must be at least 1")
 

@@ -396,3 +396,92 @@ def compare_paths_reference(a, b, index_by="norm", grid=512, threshold=1e-8):
                 lo_v = mid
         divergence = hi_v
     return float(diffs.max()), divergence
+
+
+def _glm_direction_reference(design, beta, loss, tie_tolerance=lp.lars.TIE_TOLERANCE,
+                             zero_tolerance=None):
+    """``glm_move_direction`` with every direction from the weighted NNLS."""
+    from l1paths.lars import _as_expanded, _nnls_direction, _tied_set
+    from l1paths.stagewise import _stop_tolerance
+
+    design = _as_expanded(design)
+    beta = np.asarray(beta, dtype=float)
+    y = design.base.y_centered
+    eta = design.predict(beta)
+    u = loss.first(y, eta)
+    g = design.correlations(-u)  # negative gradient per mirrored column
+    C = float(g.max())
+    if C <= _stop_tolerance(zero_tolerance, y):
+        return lp.MoveDirection(np.zeros(design.p2), ())
+    w = loss.second(y, eta)
+    if np.any(w <= 1e-12):
+        raise lp.CurvatureError(
+            "second-derivative weights collapsed to zero; reduce the step size"
+        )
+    active = _tied_set(g, C, tie_tolerance)
+    return _nnls_direction(design, active, g, weights=w)[0]
+
+
+def integrate_reference(design, loss, control=None):
+    """The Euler loop of ``integrate_monotone_path`` on the reference direction.
+
+    Every step's direction comes from a weighted Lawson-Hanson fit on the
+    tied columns, even when one column is tied alone, and the loss
+    derivatives u and w from separate ``first`` and ``second`` calls.
+    Unlike the other references here it reuses the package's weighted
+    NNLS and path recorder: it checks the integrator's choice of
+    direction, bit for bit, not those pieces.
+    """
+    from l1paths.lars import _as_expanded
+    from l1paths.path import _PathRecorder
+    from l1paths.stagewise import LOSS_INCREASE_SLACK, _stop_tolerance
+
+    control = control or lp.StepControl()
+    design = _as_expanded(design)
+    y = design.base.y_centered
+    loss.validate_response(y)
+    tol = _stop_tolerance(control.gradient_tolerance, y)
+
+    h = control.step
+    h_floor = control.step * control.min_step_factor
+    beta = np.zeros(design.p2)
+    eta = np.zeros(design.n)
+    current = loss.total(y, eta)
+    rec = _PathRecorder(beta, "l1_arc_length", design.base.feature_names)
+    ell = 0.0
+    prev_support = ()
+    truncated = False
+    accepted = 0
+
+    while True:
+        if accepted >= control.max_steps:
+            truncated = True
+            break
+        direction = _glm_direction_reference(design, beta, loss, zero_tolerance=tol)
+        if direction.is_zero:
+            break
+        step_fit = design.predict(direction.rho)
+        while True:
+            eta_trial = eta + h * step_fit
+            trial = loss.total(y, eta_trial)
+            if trial <= current + LOSS_INCREASE_SLACK * (1.0 + abs(current)):
+                break
+            h /= 2.0
+            if h < h_floor:
+                raise lp.StepSizeError(
+                    "loss increases even at the floor step size; integration aborted"
+                )
+        if direction.support != prev_support:
+            rec.advance(ell, beta)
+            prev_support = direction.support
+        beta = beta + h * direction.rho
+        eta = eta_trial
+        current = trial
+        ell += h
+        accepted += 1
+        if accepted % control.record_stride == 0:
+            rec.advance(ell, beta)
+        if control.arc_budget is not None and ell >= control.arc_budget:
+            break
+    rec.advance(ell, beta)
+    return rec.build(truncated)

@@ -308,6 +308,32 @@ class TestCli:
         assert not out.exists()
         assert "steps:" not in stdout
 
+    # Budgets of zero or one step keep a run that skips validation short.
+    @pytest.mark.parametrize("argv,message", [
+        (("integrate", "--epsilon", "nan", "--max-iter", "0"),
+         "step must be finite and positive, got nan"),
+        (("integrate", "--epsilon", "inf", "--max-iter", "0"),
+         "step must be finite and positive, got inf"),
+        (("integrate", "--arc-budget", "nan", "--max-iter", "1"),
+         "arc_budget must be finite and positive, got nan"),
+        (("integrate", "--arc-budget", "-1", "--max-iter", "1"),
+         "arc_budget must be finite and positive, got -1.0"),
+        (("monotone", "--epsilon", "nan", "--max-iter", "1"),
+         "epsilon must be finite and positive, got nan"),
+        (("fs", "--epsilon", "inf", "--max-iter", "1"),
+         "epsilon must be finite and positive, got inf"),
+    ], ids=["integrate_step_nan", "integrate_step_inf", "arc_budget_nan", "arc_budget_negative",
+            "monotone_epsilon_nan", "fs_epsilon_inf"])
+    def test_stagewise_rejects_bad_steps(self, sine_csv, tmp_path, capsys, argv, message):
+        algorithm, *rest = argv
+        out = tmp_path / "bad.json"
+        code, stdout, err = self.run(capsys, "stagewise", "--input", str(sine_csv),
+                                     "--algorithm", algorithm, *rest, "--out", str(out))
+        assert code == 2
+        assert err.strip().splitlines()[-1] == f"error: {message}"
+        assert not out.exists()
+        assert "steps:" not in stdout
+
     def test_check_monotone_emits_violation_json(self, sine_csv, tmp_path, capsys):
         out = tmp_path / "viol.json"
         code, stdout, _ = self.run(capsys, "check-monotone", "--input", str(sine_csv),

@@ -85,6 +85,22 @@ class TestSquaredError:
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+class TestDerivatives:
+    @pytest.mark.parametrize("make", [logistic_loss, squared_error_loss])
+    def test_equal_first_and_second_bit_for_bit(self, make):
+        loss = make()
+        rng = rng_for(14)
+        eta = np.concatenate([rng.uniform(-40.0, 40.0, 200), [-800.0, 0.0, 800.0]])
+        y = (rng.random(eta.size) < 0.5).astype(float)
+        u, w = loss.derivatives(y, eta)
+        assert np.array_equal(u, loss.first(y, eta))
+        assert np.array_equal(w, loss.second(y, eta))
+
+    def test_logistic_checks_the_response(self):
+        with pytest.raises(DataError):
+            logistic_loss().derivatives(np.array([0.5]), np.array([0.0]))
+
+
 class TestExpit:
     z = np.concatenate([np.linspace(-40.0, 40.0, 2001), np.linspace(-800.0, 800.0, 161),
                         [-745.0, -709.8, 1e-300, -1e-300, 709.8, 745.0]])

@@ -246,9 +246,42 @@ def singular_triple_designs(count):
     return designs
 
 
+def row_bound(design):
+    """min_a of M_aa - sum_{b != a} |M_ab|, M the inverse Gram of all columns:
+    the smallest entry of v(s) over every sign vector s."""
+    M = np.linalg.inv(design.Xs.T @ design.Xs)
+    return float((2.0 * np.diag(M) - np.abs(M).sum(axis=1)).min())
+
+
+def near_threshold_design(offset):
+    """Three columns, the last mixed with the sum of the others by a weight
+    t chosen by bisection so that the row bound of the one size-3 subset is
+    ``_MIN_ENTRY + offset``. Pairs never violate, so that subset decides the
+    search."""
+
+    def design(t):
+        X = rng_for(700).standard_normal((30, 3))
+        X[:, 2] += t * (X[:, 0] + X[:, 1])
+        return standardize(lp.Dataset(X=X, y=np.zeros(30)))
+
+    lo, hi = 0.8, 1.0  # the bound falls from +1.6e-3 to -9.7e-3 across them
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if row_bound(design(mid)) > monotone._MIN_ENTRY + offset:
+            lo = mid
+        else:
+            hi = mid
+    return design(lo)
+
+
+NEAR_THRESHOLD = [(f"offset{offset:+.0e}", near_threshold_design(offset))
+                  for offset in (5e-13, -5e-13)]
+
+
 class TestSearchAgainstOracle:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("name,design", SEARCH_DESIGNS, ids=SEARCH_IDS)
+    @pytest.mark.parametrize("name,design", [*SEARCH_DESIGNS, *NEAR_THRESHOLD],
+                             ids=[*SEARCH_IDS, *(name for name, _ in NEAR_THRESHOLD)])
     def test_matches_enumeration(self, name, design, workers):
         ref = first_violation_by_enumeration(design, design.p)
         rep = exhaustive_check(design, workers=workers)
@@ -264,6 +297,20 @@ class TestSearchAgainstOracle:
         assert any(r.passed for r in reports)
         sizes = {len(r.violation.indices) for r in reports if not r.passed}
         assert sizes == {3, 4, 5, 6}
+
+    def test_near_threshold_bound_and_outcomes(self):
+        for _, design in NEAR_THRESHOLD:
+            assert abs(row_bound(design) - monotone._MIN_ENTRY) <= 1e-12
+        assert [exhaustive_check(d).passed for _, d in NEAR_THRESHOLD] == [True, False]
+
+    def test_skipping_sign_rows_does_not_change_report(self, monkeypatch):
+        # A subset whose row bound clears _MIN_ENTRY skips its sign rows;
+        # an infinite margin clears none, so every sign row is evaluated.
+        designs = [*SEARCH_DESIGNS, *NEAR_THRESHOLD]
+        default = [exhaustive_check(d) for _, d in designs]
+        monkeypatch.setattr(monotone, "_ROW_BOUND_RTOL", np.inf)
+        for (name, design), ref in zip(designs, default):
+            assert same_report(exhaustive_check(design), ref), name
 
     @pytest.mark.parametrize("batch", [1, 7, 100])
     def test_batch_size_does_not_change_report(self, batch, monkeypatch):

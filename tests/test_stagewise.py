@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import l1paths as lp
 from l1paths import (
+    ConfigError,
     SolverConfig,
     StagewiseConfig,
     StepControl,
@@ -22,6 +24,7 @@ from l1paths import (
 )
 from oracles import (
     gaussian_instance,
+    integrate_reference,
     nnls_by_enumeration,
     orthonormal_design,
     rng_for,
@@ -35,6 +38,25 @@ def balanced_logistic_design(n=20, p=4, seed=9):
     X = rng.standard_normal((n, p))
     y = (np.arange(n) % 2).astype(float)
     return standardize(lp.Dataset(X=X, y=y), center_response=False)
+
+
+def tied_logistic_design(n=20, p=4, seed=9):
+    """``balanced_logistic_design`` with column 1 replaced by column 0 moved
+    down two rows. The response has period 2, so at beta = 0 the two columns
+    have the same gradient, and it is the largest: the first direction is a
+    weighted NNLS fit on both."""
+    rng = rng_for(seed)
+    X = rng.standard_normal((n, p))
+    X[:, 1] = np.roll(X[:, 0], 2)
+    y = (np.arange(n) % 2).astype(float)
+    return standardize(lp.Dataset(X=X, y=y), center_response=False)
+
+
+def logistic_sine(seed):
+    """The sine design with the response split at its median."""
+    data = lp.gen_sine(seed=seed)
+    y = (data.y > np.median(data.y)).astype(float)
+    return standardize(lp.Dataset(X=data.X, y=y), center_response=False)
 
 
 def signal_logistic_design(n=30, p=4, seed=15):
@@ -346,6 +368,84 @@ class TestGlmMoveDirection:
         beta[0] = 50.0  # eta magnitudes far beyond logistic resolution
         with pytest.raises(lp.CurvatureError):
             glm_move_direction(design.expanded(), beta, logistic_loss())
+
+
+EULER_CASES = [
+    *((f"sine{seed}-stride{stride}", lambda seed=seed: logistic_sine(seed), logistic_loss,
+       dict(step=0.01, arc_budget=5.0, record_stride=stride))
+      for seed in range(4) for stride in (1, 100)),
+    ("squared-correlated", lambda: gaussian_instance(20, 5, seed=14, correlated=True),
+     squared_error_loss, dict(step=0.01, arc_budget=2.0, record_stride=7)),
+    ("truncating", lambda: logistic_sine(1), logistic_loss,
+     dict(step=0.01, max_steps=150, record_stride=10)),
+    ("tied-start", tied_logistic_design, logistic_loss,
+     dict(step=0.05, arc_budget=2.0, record_stride=1)),
+]
+
+
+class TestEulerMatchesReference:
+    """The integrator's path is the per-step reference's, bit for bit: a lone
+    tied column as the direction gives what the weighted NNLS gives."""
+
+    @pytest.mark.parametrize("make, loss, options", [case[1:] for case in EULER_CASES],
+                             ids=[case[0] for case in EULER_CASES])
+    def test_same_path(self, make, loss, options):
+        ed = make().expanded()
+        control = StepControl(**options)
+        path = integrate_monotone_path(ed, loss(), control)
+        ref = integrate_reference(ed, loss(), control)
+        assert np.array_equal(path.breakpoints, ref.breakpoints)
+        assert np.array_equal(path.vertices, ref.vertices)
+        assert path.truncated == ref.truncated
+
+    def test_cases_cover_truncation_and_both_directions(self):
+        truncated = {integrate_reference(make().expanded(), loss(), StepControl(**options))
+                     .truncated for _, make, loss, options in EULER_CASES}
+        assert truncated == {True, False}
+        ed = tied_logistic_design().expanded()
+        assert len(glm_move_direction(ed, np.zeros(ed.p2), logistic_loss()).support) >= 2
+
+
+BAD_STEP_CONTROLS = [
+    dict(step=math.nan), dict(step=math.inf), dict(step=0.0), dict(step=-0.01),
+    dict(arc_budget=math.nan), dict(arc_budget=math.inf), dict(arc_budget=0.0),
+    dict(arc_budget=-1.0),
+    dict(min_step_factor=0.0), dict(min_step_factor=1.5), dict(min_step_factor=math.nan),
+    dict(max_steps=-1),
+    dict(gradient_tolerance=math.nan), dict(gradient_tolerance=math.inf),
+    dict(gradient_tolerance=-1e-3),
+    dict(record_stride=0),
+]
+
+
+class TestStepValidation:
+    """Invalid stepping settings raise ConfigError before any step."""
+
+    @pytest.mark.parametrize("options", BAD_STEP_CONTROLS,
+                             ids=[",".join(f"{k}={v}" for k, v in o.items())
+                                  for o in BAD_STEP_CONTROLS])
+    def test_step_control_rejects(self, options):
+        with pytest.raises(ConfigError):
+            StepControl(**options).validate()
+        # A zero step budget ends any run before its first step.
+        control = StepControl(**{"max_steps": 0, **options})
+        with pytest.raises(ConfigError):
+            integrate_monotone_path(signal_logistic_design(), logistic_loss(), control)
+
+    def test_step_control_boundaries_accepted(self):
+        StepControl(step=1e-300, arc_budget=1e-300, min_step_factor=1.0, max_steps=0,
+                    gradient_tolerance=0.0).validate()
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -0.01])
+    def test_stagewise_config_rejects_epsilon(self, epsilon):
+        cfg = StagewiseConfig(epsilon=epsilon, max_iterations=1)
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        design = gaussian_instance(20, 5, seed=3)
+        with pytest.raises(ConfigError):
+            monotone_incremental(design.expanded(), cfg)
+        with pytest.raises(ConfigError):
+            fs_epsilon(design, cfg)
 
 
 class TestNewtonStep:
