@@ -145,25 +145,23 @@ class ExpandedDesign:
     """Virtual [X : -X] view of a standardized design.
 
     Column a for a < p is the standardized column a; column p + a is its
-    exact negation, applied on access.
+    exact negation, applied on access. Products with X use ``ndarray.dot``,
+    which on a C- or F-ordered X (as ``standardize`` makes it) calls the
+    same BLAS routine as ``@`` without the matmul ufunc's dispatch.
     """
 
     def __init__(self, base: StandardizedDesign):
         self.base = base
+        self.p = base.p
+        self.p2 = 2 * base.p
         self._gram0: np.ndarray | None = None
-        self._sign = np.repeat([1.0, -1.0], base.p)  # of each expanded column
+        # The base column and the sign of each expanded column.
+        self._column = np.tile(np.arange(base.p), 2)
+        self._sign = np.repeat([1.0, -1.0], base.p)
 
     @property
     def n(self) -> int:
         return self.base.n
-
-    @property
-    def p(self) -> int:
-        return self.base.p
-
-    @property
-    def p2(self) -> int:
-        return 2 * self.base.p
 
     def column(self, a: int) -> np.ndarray:
         p = self.p
@@ -181,13 +179,13 @@ class ExpandedDesign:
 
     def correlations(self, r: np.ndarray) -> np.ndarray:
         """Inner products of all 2p signed columns with r (exact mirror)."""
-        c = self.base.Xs.T @ r
+        c = self.base.Xs.T.dot(r)
         return np.concatenate([c, -c])
 
     def predict(self, beta: np.ndarray) -> np.ndarray:
         """Fitted values for an expanded coefficient vector."""
         p = self.p
-        return self.base.Xs @ (beta[:p] - beta[p:])
+        return self.base.Xs.dot(beta[:p] - beta[p:])
 
     def base_gram(self) -> np.ndarray:
         """Cached Gram matrix of the standardized columns."""
@@ -202,9 +200,12 @@ class ExpandedDesign:
         gives that column's one row. Each entry is the base Gram entry times
         the signs of its two columns, which is exact.
         """
-        p, sign = self.p, self._sign
+        column, sign = self._column, self._sign
         cols = np.asarray(cols, dtype=int)
-        if np.ndim(rows) == 0:
-            return self.base_gram()[rows % p].take(cols % p) * (sign[rows] * sign[cols])
+        if isinstance(rows, (int, np.integer)) or np.ndim(rows) == 0:
+            row = self.base_gram()[column[rows]].take(column[cols])
+            row *= sign[cols]
+            return -row if sign[rows] < 0.0 else row
         rows = np.asarray(rows, dtype=int)
-        return self.base_gram()[(rows % p)[:, None], cols % p] * (sign[rows][:, None] * sign[cols])
+        return self.base_gram()[column[rows][:, None], column[cols]] * (
+            sign[rows][:, None] * sign[cols])

@@ -21,10 +21,17 @@ step, so ``solve_path`` carries them from vertex to vertex (covariance
 updates) and recomputes them from the coefficients only every
 ``REFRESH_EVERY`` segments, near a stopping threshold, and at the end.
 Each such refresh checks the carried values against the exact ones.
+
+A segment costs a few dozen numpy calls on small designs, so the engine
+keeps that count down: the event scan reads the columns it may consider
+from a mask that ``solve_path`` updates as columns join, are barred or
+leave, its scalar decisions are on Python floats, and a join appends one
+row to the active set's factor in place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +97,13 @@ class SolverConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigError("max_steps must be at least 1")
+        # A NaN bound never stops the path and a negative one stops it before
+        # it starts; both are configuration errors. A zero norm bound gives
+        # the empty path.
+        for name in ("stop_l1_norm", "stop_lambda"):
+            bound = getattr(self, name)
+            if bound is not None and not (math.isfinite(bound) and bound >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {bound}")
 
 
 @dataclass
@@ -118,7 +132,13 @@ def _as_expanded(design) -> ExpandedDesign:
 
 
 def _tied_set(c: np.ndarray, C: float, tie_tolerance: float) -> np.ndarray:
-    return np.flatnonzero(c >= C - tie_tolerance * abs(C))
+    return (c >= C - tie_tolerance * abs(C)).nonzero()[0]
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector, as ``np.linalg.norm`` computes it."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _unit_direction(p2: int, active: np.ndarray, theta: np.ndarray) -> MoveDirection:
@@ -218,16 +238,16 @@ def monotone_move_direction(
     return _nnls_direction(design, active, c)[0]
 
 
-def _scan_events(design, beta, r, r_floor, c, C, rho, excluded, mode, stop_state):
+def _scan_events(design, beta, r, r_floor, c, C, rho, scannable, mode, stop_state):
     """First event along beta + gamma * rho from residual r.
 
     Correlations are linear in gamma: column j decays at rate
     d_j = x_j . (X rho). Every supported column (rho_j != 0) decays
     proportionally, so the tied maximum decays at Delta = max over the
     support of d, and the catch-up step for an inactive column is
-    (C - c_j) / (Delta - d_j). Columns flagged in ``excluded`` (active or
-    barred) are not scanned. The mirror of a supported column would tie
-    exactly at the least-squares point, so it is not scanned either. Where
+    (C - c_j) / (Delta - d_j). Only columns flagged in ``scannable`` are
+    scanned: not the active or barred ones, nor the mirror of a supported
+    column, which would tie exactly at the least-squares point. Where
     the least-squares point leaves a residual of at most ``r_floor`` (a
     zero-residual fit, p >= n), every column catches up there; a catch-up
     within TIE_TOLERANCE of it is then a join at that point, so neither
@@ -237,40 +257,46 @@ def _scan_events(design, beta, r, r_floor, c, C, rho, excluded, mode, stop_state
     """
     v = design.predict(rho)
     d = design.correlations(v)
-    supported = rho != 0.0
-    Delta = float(d[supported].max())
+    Delta = float(d[rho != 0.0].max())
     if not Delta > 0.0:
         raise InternalConsistencyError("move does not decay the active correlation")
     gamma_c = C / Delta
-
-    p = design.p
     best_gamma, kind, indices = gamma_c, EVENT_FULL_LS, None
 
-    # Every column not excluded (nor the mirror of a supported one) whose
-    # correlation decays slower than the maximum catches up at a finite step.
+    # Every scannable column whose correlation decays slower than the
+    # maximum catches up at a finite step. A step of at most MIN_STEP_RTOL
+    # times the least-squares step is no step; such steps are masked only
+    # when the shortest one is.
     den = Delta - d
-    scanned = (den > 0.0) & ~(excluded | np.concatenate([supported[p:], supported[:p]]))
-    gammas = np.divide(C - c, den, out=np.full(design.p2, np.inf), where=scanned)
-    gammas[gammas <= MIN_STEP_RTOL * gamma_c] = np.inf
-    gmin = float(gammas.min())
+    scanned = den > 0.0
+    scanned &= scannable
+    gammas = np.empty(design.p2)
+    gammas.fill(np.inf)
+    np.divide(C - c, den, out=gammas, where=scanned)
+    gmin = float(gammas[gammas.argmin()])
+    min_step = MIN_STEP_RTOL * gamma_c
+    if gmin <= min_step:
+        gammas[gammas <= min_step] = np.inf
+        gmin = float(gammas[gammas.argmin()])
     at_zero_residual = (
         abs(gmin - gamma_c) <= TIE_TOLERANCE * gamma_c
-        and np.linalg.norm(r - gamma_c * v) <= r_floor
+        and _norm(r - gamma_c * v) <= r_floor
     )
     if at_zero_residual or gmin < gamma_c * (1.0 - STRICT_RTOL):
         best_gamma = gamma_c if at_zero_residual else gmin
         kind = EVENT_JOIN
-        indices = np.flatnonzero(gammas <= gmin * (1.0 + TIE_TOLERANCE)).tolist()
+        indices = (gammas <= gmin * (1.0 + TIE_TOLERANCE)).nonzero()[0].tolist()
 
     if mode == "lasso":
-        movers = np.flatnonzero(rho < 0.0)
+        movers = (rho < 0.0).nonzero()[0]
         if movers.size:
             gb = -beta[movers] / rho[movers]
-            posb = int(np.argmin(gb))
-            if gb[posb] < best_gamma * (1.0 - STRICT_RTOL):
-                best_gamma, kind, indices = float(gb[posb]), EVENT_DROP, [int(movers[posb])]
+            posb = int(gb.argmin())
+            g = float(gb[posb])
+            if g < best_gamma * (1.0 - STRICT_RTOL):
+                best_gamma, kind, indices = g, EVENT_DROP, [int(movers[posb])]
     elif mode == "fs0":
-        if (rho < 0.0).any():
+        if rho[rho.argmin()] < 0.0:
             raise InternalConsistencyError("monotone direction has a negative component")
 
     if stop_state is not None:
@@ -297,11 +323,12 @@ def next_event(design, beta, direction: MoveDirection, mode: str = "lasso") -> P
     r = y - design.predict(beta)
     c = design.correlations(r)
     C = float(c.max())
-    members = np.zeros(design.p2, dtype=bool)
-    members[_tied_set(c, C, TIE_TOLERANCE)] = True
+    scannable = np.ones(design.p2, dtype=bool)
+    scannable[_tied_set(c, C, TIE_TOLERANCE)] = False
+    scannable[(direction.rho.nonzero()[0] + design.p) % design.p2] = False
     gamma, kind, indices, _, _, _ = _scan_events(
-        design, beta, r, RESIDUAL_FLOOR * np.linalg.norm(y), c, C, direction.rho,
-        members, mode, None,
+        design, beta, r, RESIDUAL_FLOOR * _norm(y), c, C, direction.rho,
+        scannable, mode, None,
     )
     index = indices[0] if indices else None
     return PathEvent(kind=kind, index=index, gamma=gamma, ell=gamma)
@@ -322,16 +349,16 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     design = _as_expanded(design)
     cfg = config or SolverConfig()
     cfg.validate()
-    mode = cfg.mode
-    p2 = design.p2
+    mode, stop_norm, stop_lambda = cfg.mode, cfg.stop_l1_norm, cfg.stop_lambda
+    p, p2 = design.p, design.p2
     y = design.base.y_centered
-    y_norm = float(np.linalg.norm(y))
+    y_norm = _norm(y)
 
     beta = np.zeros(p2)
     ell = 0.0
     r = y.copy()
     c = design.correlations(r)
-    C = float(c.max())
+    C = float(c[c.argmax()])
     floor = CORRELATION_FLOOR * max(C, 1e-300)
     r_floor = RESIDUAL_FLOOR * y_norm
     drift_tol = DRIFT_RTOL * C
@@ -340,13 +367,18 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         beta, "l1_arc_length" if mode == "fs0" else "l1_norm", design.base.feature_names
     )
 
-    if C <= floor or np.linalg.norm(r) <= r_floor:
+    if C <= floor or y_norm <= r_floor:  # r is still y
         return rec.build()
-    if cfg.stop_l1_norm is not None and cfg.stop_l1_norm <= 0:
+    if stop_norm is not None and stop_norm <= 0:
         return rec.build()
 
     members = np.zeros(p2, dtype=bool)
     barred = np.zeros(p2, dtype=bool)  # columns collinear with the active set
+    # The event scan skips the active and barred columns and the mirrors of
+    # the supported ones. ``scannable`` is kept up to date as columns join
+    # or are barred; ``shadowed`` is the support whose mirrors it excludes,
+    # None once a column left the active set (then it is rebuilt).
+    scannable, shadowed = None, None
     active = _tied_set(c, C, TIE_TOLERANCE)  # an index array, in join order
     members[active] = True
     # lar and lasso keep the factor of the active set. fs0 keeps the factor
@@ -361,9 +393,9 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     since_refresh = 0
 
     for _ in range(max_steps):
-        if cfg.stop_l1_norm is not None and ell >= cfg.stop_l1_norm:
+        if stop_norm is not None and ell >= stop_norm:
             return rec.build()
-        if cfg.stop_lambda is not None and C <= cfg.stop_lambda:
+        if stop_lambda is not None and C <= stop_lambda:
             return rec.build()
         # Direction on the current active set.
         if mode == "fs0":
@@ -374,10 +406,17 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         else:
             direction = _unit_direction(p2, active, factor.solve_gram(c[active]))
         rho, support = direction.rho, direction.support
+        # A support that extends the shadowed one adds the mirrors of its new
+        # columns; any other support rebuilds the mask.
+        if shadowed is None or support[: len(shadowed)] != shadowed:
+            scannable = ~(members | barred)
+            shadowed = ()
+        for a in support[len(shadowed):]:
+            scannable[(a + p) % p2] = False
+        shadowed = support
 
         gamma, kind, indices, v, d, Delta = _scan_events(
-            design, beta, r, r_floor, c, C, rho, members | barred,
-            mode, (ell, cfg.stop_l1_norm, cfg.stop_lambda),
+            design, beta, r, r_floor, c, C, rho, scannable, mode, (ell, stop_norm, stop_lambda)
         )
         index = indices[0] if indices else None
 
@@ -389,6 +428,7 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
                 raise InternalConsistencyError("drop events are not making progress")
             factor, active = _drop_active(factor, active, index)
             members[index] = False
+            shadowed = None
             beta[index] = 0.0
             continue
         instant_drops = 0
@@ -399,19 +439,19 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         ell += gamma
         final = kind in (EVENT_FULL_LS, EVENT_STOP_NORM, EVENT_STOP_LAMBDA)
         # Covariance update: the residual and the correlations move linearly.
-        r = r - gamma * v
+        r -= gamma * v
         c_carried = c - gamma * d
-        C_new = float(c_carried.max())
-        r_norm = np.linalg.norm(r)
+        C_new = float(c_carried[c_carried.argmax()])
+        r_norm = _norm(r)
         since_refresh += 1
         if (
             since_refresh >= REFRESH_EVERY
             or final
-            or (cfg.stop_l1_norm is not None and ell >= cfg.stop_l1_norm)
+            or (stop_norm is not None and ell >= stop_norm)
             # near a stopping threshold, within the band the guard allows
             or C_new <= floor + drift_tol
             or r_norm <= r_floor + DRIFT_RTOL * y_norm
-            or (cfg.stop_lambda is not None and C_new <= cfg.stop_lambda + drift_tol)
+            or (stop_lambda is not None and C_new <= stop_lambda + drift_tol)
         ):
             # Exact refresh, where the carried correlations must agree.
             r = y - design.predict(beta)
@@ -421,8 +461,8 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
                 raise InternalConsistencyError(
                     f"carried correlations drifted by {worst:.3e} from the exact ones"
                 )
-            C_new = float(c.max())
-            r_norm = np.linalg.norm(r)
+            C_new = float(c[c.argmax()])
+            r_norm = _norm(r)
             since_refresh = 0
         else:
             c = c_carried
@@ -441,20 +481,23 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         # Membership updates for the next segment. In monotone mode a
         # coordinate that carried no mass decays faster than the tied
         # maximum and falls out of contention.
-        if mode == "fs0":
+        if mode == "fs0" and len(support) < active.size:
             gone = (rho[active] == 0.0) & (d[active] > Delta * (1.0 + STRICT_RTOL))
             if gone.any():
                 members[active[gone]] = False
                 active = active[~gone]
+                shadowed = None
         if kind == EVENT_DROP:
             factor, active = _drop_active(factor, active, index)
             members[index] = False
+            shadowed = None
         elif kind == EVENT_JOIN and mode == "fs0":
             # The next NNLS fit appends the catchers to its factor; one that
             # depends on the factor's columns gets no weight there.
             entering = indices
-            active = np.append(active, indices)
+            active = np.concatenate([active, indices])
             members[indices] = True
+            scannable[indices] = False
         elif kind == EVENT_JOIN:
             # A catcher in the span of the active columns (typical once the
             # active set saturates the sample size, where every remaining
@@ -466,18 +509,24 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
                 # column failing here fails the append below too; survivors
                 # still go through it, one at a time and in order.
                 cand = np.asarray(indices)
-                diag = design.base_gram().diagonal()[cand % design.p]
+                diag = design.base_gram().diagonal()[cand % p]
                 ok = factor.admits(np.vstack([design.gram_entries(active, cand), diag]))
-                barred[np.concatenate([cand[~ok], (cand[~ok] + design.p) % p2])] = True
+                pairs = np.concatenate([cand[~ok], (cand[~ok] + p) % p2])
+                barred[pairs] = True
+                scannable[pairs] = False
                 indices = cand[ok].tolist()
             for j in indices:
+                cols = np.concatenate([active, [j]])
                 try:
-                    factor = _append_factor(design, factor, active, j)
+                    factor = _append_factor(design, factor, cols)
                 except DegenerateDesignError:
-                    barred[[j, (j + design.p) % p2]] = True
+                    pair = [j, (j + p) % p2]
+                    barred[pair] = True
+                    scannable[pair] = False
                     continue
-                active = np.append(active, j)
+                active = cols
                 members[j] = True
+                scannable[j] = False
 
         if C <= floor or r_norm <= r_floor:
             return rec.build()
@@ -490,8 +539,8 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
 def _factor_active(design, active):
     """Cholesky factor of the Gram of the active columns, appended in order."""
     factor = CholeskyFactor.empty()
-    for a in active:
-        factor = _append_factor(design, factor, active[: factor.size], a)
+    for k in range(1, active.size + 1):
+        factor = _append_factor(design, factor, active[:k])
     return factor
 
 
@@ -501,13 +550,15 @@ def _drop_active(factor, active, index):
     return factor.drop_column(int(keep.argmin())), active[keep]
 
 
-def _append_factor(design, factor, current, new_index):
+def _append_factor(design, factor, cols):
+    """``factor`` of the columns ``cols`` but the last, with the last appended."""
+    j = int(cols[-1])
     try:
-        return factor.append_column(design.gram_entries(new_index, np.append(current, new_index)))
+        return factor.append_column(design.gram_entries(j, cols))
     except DegenerateDesignError:
-        name = design.base.name_of(new_index % design.p)
+        name = design.base.name_of(j % design.p)
         raise DegenerateDesignError(
-            column=new_index,
+            column=j,
             message=f"joining column for {name} is collinear with the active set",
         ) from None
 

@@ -2,8 +2,12 @@
 
 One factor serves every solve: ``CholeskyFactor`` keeps L with L L^T = G,
 its inverse T = L^-1 and G itself, for columns that join one at a time.
-An append is one matvec with T plus a new row of L, of T and of G; the
-batched rank test and the Gram solve are matvecs with T. A drop keeps
+An append is one matvec with T plus a new row of L, of T and of G,
+written into buffers with room to grow that the factors of one growing
+column sequence share (``_Rows``), with its pivot arithmetic on Python
+floats; the batched rank test and the Gram solve are matvecs with T.
+Vector products use ``ndarray.dot``, the same BLAS call as ``@`` without
+the ufunc dispatch that costs about a microsecond at these sizes. A drop keeps
 the leading block of L and T (the columns before the first one dropped)
 and refactors the survivors after it from their Schur complement
 ``G33 - L31 L31^T``: G33 is read from the kept G and L31 from their rows
@@ -18,6 +22,8 @@ are immutable; update operations return new factors.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,20 +42,43 @@ NNLS_FLOOR_RTOL = 1e-14
 
 def _independent(d2, max_diag):
     """The pivot rule: a new diagonal ``d2`` is kept when it is finite and
-    exceeds ``PIVOT_RTOL`` times the largest Gram diagonal ``max_diag``."""
-    return np.isfinite(d2) & (d2 > PIVOT_RTOL * max_diag)
+    exceeds ``PIVOT_RTOL`` times the largest Gram diagonal ``max_diag``.
+
+    Takes floats or arrays. A NaN ``d2`` fails both comparisons, +inf the
+    second and -inf the first."""
+    return (d2 > PIVOT_RTOL * max_diag) & (d2 < math.inf)
 
 
-def _border(M, row, corner, column=0.0):
-    """``M`` (k by k) grown by a last row ``row``, a last column ``column``
-    above the diagonal and ``corner`` on it."""
-    k = M.shape[0]
-    new = np.empty((k + 1, k + 1))
-    new[:k, :k] = M
-    new[k, :k] = row
-    new[:k, k] = column
-    new[k, k] = corner
-    return new
+# Appends that fit in new factor buffers beyond the one that made them. fs0
+# on wide designs drops a column about every segment and each drop starts
+# new buffers, so more room is zeroed for nothing: on the 60 x 1000 block
+# design, buffers of doubling size made an fs0 segment about 15% slower.
+_ROOM = 8
+
+
+class _Rows:
+    """Square buffers that factors grown one column at a time share.
+
+    A factor of size k is the leading k by k block of L, T and G. Only the
+    factor of size ``size`` writes the next row; any other factor on the
+    buffers copies them before it appends, so a factor's block never changes.
+    """
+
+    __slots__ = ("L", "T", "G", "views", "size")
+
+    def __init__(self, factor: "CholeskyFactor"):
+        k = factor.size
+        capacity = k + 1 + _ROOM
+        self.L, self.T, self.G = (np.zeros((capacity, capacity)) for _ in range(3))
+        self.L[:k, :k], self.T[:k, :k], self.G[:k, :k] = factor._L, factor._T, factor._G
+        # Read-only views, whose blocks the factors on the buffers hold.
+        self.views = tuple(_frozen(M.view()) for M in (self.L, self.T, self.G))
+        self.size = k
+
+
+def _frozen(M):
+    M.setflags(write=False)
+    return M
 
 
 class CholeskyFactor:
@@ -60,19 +89,21 @@ class CholeskyFactor:
     scale of the problem. G is kept for drops: ``drop_columns`` keeps L and
     T up to the first dropped column and refactors the survivors after it
     from their block of G less the part their rows of L already account for.
+    An append writes one row into buffers with room to grow (``_Rows``).
     """
 
-    __slots__ = ("_L", "_T", "_G", "_max_diag")
+    __slots__ = ("_L", "_T", "_G", "_max_diag", "_rows")
 
-    def __init__(self, L: np.ndarray, T: np.ndarray, G: np.ndarray, max_diag: float):
-        for M in (L, T, G):
-            M.setflags(write=False)
+    def __init__(self, L: np.ndarray, T: np.ndarray, G: np.ndarray, max_diag: float,
+                 rows: _Rows | None = None):
+        """L, T and G are read-only; ``rows`` holds them when an append made them."""
         self._L, self._T, self._G = L, T, G
         self._max_diag = float(max_diag)
+        self._rows = rows
 
     @classmethod
     def empty(cls) -> "CholeskyFactor":
-        return cls(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), 0.0)
+        return cls(*(_frozen(np.zeros((0, 0))) for _ in range(3)), 0.0)
 
     @classmethod
     def from_gram(cls, gram: np.ndarray) -> "CholeskyFactor":
@@ -110,19 +141,28 @@ class CholeskyFactor:
         k = self.size
         if gram_row.shape != (k + 1,):
             raise ValueError(f"expected gram row of length {k + 1}, got {gram_row.shape}")
-        g, diag = gram_row[:k], gram_row[k]
+        g, diag = gram_row[:k], float(gram_row[k])
         max_diag = max(self._max_diag, diag)
-        w = self._T @ g
-        d2 = diag - w @ w
+        w = self._T.dot(g)
+        d2 = diag - float(w.dot(w))
+        # The rule admits only d2 > 0 (max_diag is never negative), so the
+        # square root and the divisions below are of a positive pivot.
         if not _independent(d2, max_diag):
             raise DegenerateDesignError(column=k)
-        pivot = np.sqrt(d2)
-        return CholeskyFactor(
-            _border(self._L, w, pivot),
-            _border(self._T, (w @ self._T) / -pivot, 1.0 / pivot),
-            _border(self._G, g, diag, g),
-            max_diag,
-        )
+        pivot = math.sqrt(d2)
+        rows = self._rows
+        if rows is None or rows.size != k or k == rows.L.shape[0]:
+            rows = _Rows(self)
+        L, T, G = rows.L, rows.T, rows.G
+        L[k, :k] = w
+        L[k, k] = pivot
+        T[k, :k] = w.dot(self._T) / -pivot
+        T[k, k] = 1.0 / pivot
+        G[k, :k] = G[:k, k] = g
+        G[k, k] = diag
+        rows.size = k = k + 1
+        L, T, G = rows.views
+        return CholeskyFactor(L[:k, :k], T[:k, :k], G[:k, :k], max_diag, rows)
 
     def admits(self, gram_rows: np.ndarray) -> np.ndarray:
         """Which of m candidate columns ``append_column`` would accept.
@@ -159,7 +199,7 @@ class CholeskyFactor:
         keep[indices] = False
         kept = np.flatnonzero(keep)
         first = int(indices.min()) if indices.size else k
-        G = self._G.take(kept, 0).take(kept, 1)
+        G = _frozen(self._G.take(kept, 0).take(kept, 1))
         if first == kept.size:
             return CholeskyFactor(self._L[:first, :first], self._T[:first, :first], G,
                                   self._max_diag)
@@ -176,11 +216,11 @@ class CholeskyFactor:
         T = np.zeros_like(L)
         T[:first, :first] = T11 = self._T[:first, :first]
         T[first:, :first], T[first:, first:] = -T33 @ (L31 @ T11), T33
-        return CholeskyFactor(L, T, G, self._max_diag)
+        return CholeskyFactor(_frozen(L), _frozen(T), G, self._max_diag)
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (L L^T) x = rhs."""
-        return self._T.T @ (self._T @ rhs)
+        """Solve (L L^T) x = rhs for a vector rhs: x = T^T (T rhs)."""
+        return self._T.dot(rhs).dot(self._T)
 
 
 def solve_least_squares(A: np.ndarray, b: np.ndarray, column_names=None) -> np.ndarray:
@@ -240,8 +280,6 @@ def nnls_continue(
             continue
         passive = with_j
     max_pivots = 10 * variables.size if max_pivots is None else max_pivots
-    if tol is None:
-        tol = NNLS_DUAL_RTOL * float(np.max(np.abs(c[variables]), initial=0.0))
     x = None
     pivots = 0
     while True:
@@ -251,7 +289,7 @@ def nnls_continue(
                     f"non-negative least squares stalled after {pivots - 1} pivots"
                 )
             sub = factor.solve_gram(c[passive])
-            if sub.min() > 0.0:
+            if sub[sub.argmin()] > 0.0:
                 break
             if x is None:  # start from the fit on the passive set before ``entering``
                 x = np.zeros(passive.size)
@@ -266,17 +304,19 @@ def nnls_continue(
             drop = mask & (x_new <= NNLS_FLOOR_RTOL * max(np.max(np.abs(x_new)), 1e-300))
             drop[hit] = True
             pivots += int(drop.sum())
-            factor = factor.drop_columns(np.flatnonzero(drop))
+            factor = factor.drop_columns(drop.nonzero()[0])
             passive, x = passive[~drop], x_new[~drop]
         else:
             sub = np.zeros(0)
         if passive.size == variables.size:
             return sub, factor, passive
+        if tol is None:
+            tol = NNLS_DUAL_RTOL * float(np.max(np.abs(c[variables]), initial=0.0))
         free = np.ones(c.shape[0], dtype=bool)  # labels outside P
         free[passive] = False
         others = variables[free[variables]]
         cross = gram(others, passive)
-        w = c[others] - cross @ sub
+        w = c[others] - cross.dot(sub)
         while True:
             i = int(np.argmax(w))
             if not w[i] > tol:
@@ -288,7 +328,7 @@ def nnls_continue(
                 w[i] = -np.inf  # j depends on P: skipped (Lawson-Hanson step 6)
                 continue
             break
-        passive, x = np.append(passive, j), np.append(sub, 0.0)
+        passive, x = np.concatenate([passive, [j]]), np.concatenate([sub, [0.0]])
         pivots += 1
 
 

@@ -50,7 +50,7 @@ class PiecewiseLinearPath:
             raise ValueError("breakpoints and vertices disagree in length")
         if self.vertices.shape[1] % 2:
             raise ValueError("vertices must live in an even number of coordinates")
-        if np.any(np.diff(self.breakpoints) <= 0):
+        if (self.breakpoints[1:] - self.breakpoints[:-1] <= 0).any():
             raise ValueError("breakpoints must be strictly increasing")
 
     @property

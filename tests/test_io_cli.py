@@ -308,6 +308,29 @@ class TestCli:
         assert not out.exists()
         assert "steps:" not in stdout
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--stop-norm", "nan"), "stop_l1_norm must be finite and non-negative, got nan"),
+        (("--stop-norm", "-1"), "stop_l1_norm must be finite and non-negative, got -1.0"),
+        (("--stop-lambda", "nan"), "stop_lambda must be finite and non-negative, got nan"),
+        (("--stop-lambda", "-1"), "stop_lambda must be finite and non-negative, got -1.0"),
+    ], ids=["stop_norm_nan", "stop_norm_negative", "stop_lambda_nan", "stop_lambda_negative"])
+    def test_solve_rejects_bad_stop_bounds(self, sine_csv, tmp_path, capsys, argv, message):
+        out = tmp_path / "bad.json"
+        code, stdout, err = self.run(capsys, "solve", "--input", str(sine_csv),
+                                     "--method", "lasso", *argv, "--out", str(out))
+        assert code == 2
+        assert err.strip().splitlines()[-1] == f"error: {message}"
+        assert not out.exists()
+        assert "segments:" not in stdout
+
+    def test_solve_zero_stop_norm_writes_the_empty_path(self, sine_csv, tmp_path, capsys):
+        out = tmp_path / "empty.json"
+        code, stdout, _ = self.run(capsys, "solve", "--input", str(sine_csv),
+                                   "--method", "lasso", "--stop-norm", "0", "--out", str(out))
+        assert code == 0
+        assert "segments: 0" in stdout
+        assert pio.read_path_json(out).n_segments == 0
+
     # Budgets of zero or one step keep a run that skips validation short.
     @pytest.mark.parametrize("argv,message", [
         (("integrate", "--epsilon", "nan", "--max-iter", "0"),

@@ -288,6 +288,23 @@ class TestSolvePath:
         assert cut.events[-1].kind == "stop_norm"
         np.testing.assert_allclose(cut.vertices[-1], full.evaluate(bound), atol=1e-10)
 
+    @pytest.mark.parametrize("field", ["stop_l1_norm", "stop_lambda"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_invalid_stop_bounds_are_config_errors(self, field, value):
+        design = gaussian_instance(20, 5, seed=10)
+        for mode in ("lar", "lasso", "fs0"):
+            with pytest.raises(lp.ConfigError,
+                               match=f"^{field} must be finite and non-negative, got {value}$"):
+                solve_path(design.expanded(), SolverConfig(mode=mode, **{field: value}))
+
+    def test_zero_stop_norm_gives_the_empty_path(self):
+        design = gaussian_instance(20, 5, seed=10)
+        for mode in ("lar", "lasso", "fs0"):
+            path = solve_path(design.expanded(), SolverConfig(mode=mode, stop_l1_norm=0.0))
+            assert path.n_segments == 0
+            assert path.events == []
+            assert not path.vertices.any()
+
     def test_stop_lambda_hits_requested_correlation(self):
         design = gaussian_instance(20, 5, seed=10)
         ed = design.expanded()

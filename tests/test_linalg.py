@@ -190,6 +190,50 @@ class TestBatchedRankTest:
         with pytest.raises(ValueError):
             factor.admits(rows[:-1])
 
+    def _three_decisions(self, A, row, c_new):
+        """Whether ``admits``, ``append_column`` and ``solve_nnls_gram`` take
+        a candidate with gram row ``row`` after the columns of A.
+
+        NNLS gets the bordered Gram matrix and a warm start that appends the
+        columns of A first, so its pivot test on the candidate is the same
+        one; ``c_new`` is large, so that the candidate would take weight.
+        """
+        k = A.shape[1]
+        G = A.T @ A
+        factor = CholeskyFactor.from_gram(G)
+        full = np.empty((k + 1, k + 1))
+        full[:k, :k] = G
+        full[k, :k] = full[:k, k] = row[:k]
+        full[k, k] = row[k]
+        c = np.append(A.T @ (A @ np.linspace(1.0, 2.0, k)), c_new)
+        theta = solve_nnls_gram(full, c, initial_support=list(range(k + 1)))
+        assert np.all(theta[:k] > 0.0)
+        return (bool(factor.admits(row[:, None])[0]), self._appends(factor, row),
+                bool(theta[k] != 0.0))
+
+    @pytest.mark.parametrize("on_diagonal", [False, True], ids=["off_diagonal", "diagonal"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_rows_are_rejected_alike(self, value, on_diagonal):
+        rng = rng_for(720)
+        A = rng.standard_normal((12, 5))
+        z = rng.standard_normal(12)
+        row = np.append(A.T @ z, z @ z)
+        assert self._three_decisions(A, row, 10.0) == (True, True, True)
+        row[5 if on_diagonal else 2] = value
+        # Non-finite entries make numpy's own operations flag invalid values.
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert self._three_decisions(A, row, 10.0 * np.abs(A.T @ z).max()) == (
+                False, False, False)
+
+    @pytest.mark.parametrize("column", range(3))
+    def test_duplicated_column_is_rejected_alike(self, column):
+        rng = rng_for(730 + column)
+        A = rng.standard_normal((12, 3)) * rng.uniform(0.1, 10.0, 3)
+        z = A[:, column]
+        row = np.append(A.T @ z, z @ z)
+        c_copy = float(z @ (A @ np.linspace(1.0, 2.0, 3)))  # the copied column's own c
+        assert self._three_decisions(A, row, c_copy) == (False, False, False)
+
 
 class TestNNLSGram:
     def _kkt_optimal(self, A, b, theta):

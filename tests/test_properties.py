@@ -6,6 +6,9 @@ ties), and Gaussian designs with a duplicated or negated column. Columns
 are scaled by 1e-6, 1 or 1e6 before standardizing, and the response by
 1e-6, 1 or 1e6. The examples are derandomized, so every run checks the
 same designs.
+
+Generated small non-negative least-squares problems (m <= 8, n <= 6)
+check ``solve_nnls_gram`` against ``oracles.nnls_by_enumeration``.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 import l1paths as lp
 from l1paths import SolverConfig, kkt_certify, solve_path, standardize
 from l1paths.lars import TIE_TOLERANCE
-from oracles import replay_vertices, rng_for
+from oracles import nnls_by_enumeration, replay_vertices, rng_for
 
 SCALES = (1e-6, 1.0, 1e6)
 KINDS = ("gaussian", "square", "wide", "step", "copied", "negated")
@@ -79,3 +82,57 @@ def test_paths_match_replay_and_certify(kind, data):
             for beta in V:
                 report = kkt_certify(ed, beta, _own_lambda(ed, beta))
                 assert report.passed, (report.worst_violation, report.tolerance)
+
+
+@st.composite
+def nnls_problems(draw, pair_noise):
+    """A non-negative least-squares problem: A (m <= 8 by n <= 6) and b.
+
+    With ``pair_noise`` set, one column of A may be another plus that much
+    Gaussian noise (0: an exact copy). b is Gaussian, zero or constant.
+    """
+    rng = rng_for(draw(st.integers(0, 2**20)))
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    A = rng.standard_normal((m, n))
+    if pair_noise is not None and n >= 2 and draw(st.booleans()):
+        i, j = rng.choice(n, size=2, replace=False)
+        A[:, j] = A[:, i] + pair_noise * rng.standard_normal(m)
+    response = draw(st.sampled_from(("gaussian", "zero", "constant")))
+    if response == "gaussian":
+        b = rng.standard_normal(m)
+    else:
+        b = np.full(m, 0.0 if response == "zero" else rng.standard_normal())
+    return A, b
+
+
+def _assert_matches_enumeration(A, b):
+    """solve_nnls_gram is optimal: its objective is the enumerated optimum's
+    to 1e-9 relative, and it meets KKT as TestNNLSGram._kkt_optimal checks."""
+    theta = lp.solve_nnls_gram(A.T @ A, A.T @ b)
+    _, best_obj = nnls_by_enumeration(A, b)
+    r = b - A @ theta
+    assert abs(float(r @ r) - best_obj) <= 1e-9 * max(1.0, best_obj)
+    nu = -A.T @ r
+    tol = 1e-8 * max(np.linalg.norm(b), 1e-30) * max(1.0, np.abs(A).max())
+    assert theta.min() >= 0.0
+    assert nu.min() >= -tol
+    assert np.max(np.abs(nu * theta)) <= tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=nnls_problems(pair_noise=0.0))
+def test_nnls_gram_matches_enumeration(problem):
+    _assert_matches_enumeration(*problem)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Gram-space NNLS squares the condition number: a column 1e-7 from another "
+    "fails the relative pivot rule, and the fit misses the optimum by up to 6e-7 "
+    "relative (ROADMAP, accuracy on near-singular active sets)"))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=nnls_problems(pair_noise=1e-7))
+def test_nnls_gram_matches_enumeration_near_collinear(problem):
+    _assert_matches_enumeration(*problem)
