@@ -313,13 +313,14 @@ def _cmd_check_monotone(cfg) -> int:
 
 def _cmd_simulate(cfg) -> int:
     _require(cfg, "out")
+    rows = {} if cfg["n"] is None else {"n": cfg["n"]}  # else the generator's default
     if cfg["kind"] == "sine":
         knots = (
             tuple(float(v) for v in str(cfg["knots"]).split(","))
             if cfg["knots"] else tuple(np.round(np.arange(10) * 0.1, 1))
         )
         data = gen_sine(
-            n=cfg["n"] or 300, basis=cfg["basis"], knots=knots,
+            **rows, basis=cfg["basis"], knots=knots,
             noise_scale=cfg["noise_scale"], seed=cfg["seed"],
         )
         pio.write_dataset_csv(data, cfg["out"])
@@ -327,7 +328,7 @@ def _cmd_simulate(cfg) -> int:
         print(f"cols: {data.p}")
     else:
         data, beta = gen_block(
-            n=cfg["n"] or 60, p=cfg["p"], block=cfg["block"], rho=cfg["rho"],
+            **rows, p=cfg["p"], block=cfg["block"], rho=cfg["rho"],
             sigma2=cfg["sigma2"], nonzero_per_block=cfg["nonzero_per_block"],
             seed=cfg["seed"],
         )
@@ -340,11 +341,12 @@ def _cmd_simulate(cfg) -> int:
 
 
 def _cmd_diagnose(cfg) -> int:
+    grid = {} if cfg["grid"] is None else {"grid": cfg["grid"]}  # else the routine's default
     if cfg["compare"]:
         _require(cfg, "path", "path_b")
         a = pio.read_path_json(cfg["path"])
         b = pio.read_path_json(cfg["path_b"])
-        rep = compare_paths(a, b, index_by=cfg["index"], grid=cfg["grid"] or 512)
+        rep = compare_paths(a, b, index_by=cfg["index"], **grid)
         print(json.dumps({
             "sup_difference": rep.sup_difference,
             "divergence_index": rep.divergence_index,
@@ -355,7 +357,7 @@ def _cmd_diagnose(cfg) -> int:
     _, design = _load_design(cfg)
     path = pio.read_path_json(cfg["path"])
     if cfg["rss"]:
-        curve = rss_profile(design, path, index_by=cfg["index"], grid=cfg["grid"] or 200)
+        curve = rss_profile(design, path, index_by=cfg["index"], **grid)
         label = cfg["method_label"] or "rss"
     else:
         if cfg["truth"]:
@@ -363,12 +365,12 @@ def _cmd_diagnose(cfg) -> int:
             _require(cfg, "holdout")
             hold = pio.read_dataset_csv(cfg["holdout"])
             curve = holdout_mse(design, path, hold.X, beta_true=beta_true,
-                                grid=cfg["grid"] or 100)
+                                **grid)
         else:
             _require(cfg, "holdout")
             hold = pio.read_dataset_csv(cfg["holdout"])
             curve = holdout_mse(design, path, hold.X, y_holdout=hold.y,
-                                grid=cfg["grid"] or 100)
+                                **grid)
         label = cfg["method_label"] or "mse"
     if cfg["out"]:
         pio.write_curve_csv(curve, cfg["out"], method=label)

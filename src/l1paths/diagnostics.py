@@ -112,6 +112,12 @@ def ell_at_index(path: PiecewiseLinearPath, value: float, index_by: str) -> floa
     return _IndexMap(path, index_by).ell_at(value)
 
 
+def _check_grid(grid: int) -> None:
+    # A grid spans its range from both ends.
+    if grid < 2:
+        raise ConfigError(f"grid must be at least 2, got {grid}")
+
+
 def rss_profile(
     design: StandardizedDesign,
     path: PiecewiseLinearPath,
@@ -124,7 +130,8 @@ def rss_profile(
     parameter values and reports (index, RSS) pairs; the parameter
     values themselves are kept so the curve can be re-indexed.
     """
-    ells = np.union1d(path.breakpoints, np.linspace(0.0, path.end, max(grid, 2)))
+    _check_grid(grid)
+    ells = np.union1d(path.breakpoints, np.linspace(0.0, path.end, grid))
     coll = collapse(path.evaluate(ells))
     resid = design.y_centered[None, :] - coll @ design.Xs.T
     rss = (resid**2).sum(axis=1)
@@ -162,6 +169,7 @@ def compare_paths(
     index value where the difference exceeds ``threshold``, refined by
     60 bisection steps.
     """
+    _check_grid(grid)
     map_a = _IndexMap(a, index_by)
     map_b = _IndexMap(b, index_by)
     va, vb = map_a.values, map_b.values
@@ -234,11 +242,12 @@ def holdout_mse(
     """
     if (beta_true is None) == (y_holdout is None):
         raise ConfigError("provide exactly one of beta_true or y_holdout")
+    _check_grid(grid)
     X_holdout = np.asarray(X_holdout, dtype=float)
     target = X_holdout @ beta_true if beta_true is not None else np.asarray(y_holdout)
     imap = _IndexMap(path, "norm")
     end_norm = float(imap.values.max())
-    fractions = np.linspace(0.0, 1.0, max(grid, 2))
+    fractions = np.linspace(0.0, 1.0, grid)
     ells = imap.ells_at(fractions * end_norm) if end_norm > 0 else np.zeros(fractions.size)
     mse = np.empty(fractions.size)
     for i, coll in enumerate(collapse(path.evaluate(ells))):

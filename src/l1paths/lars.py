@@ -26,7 +26,9 @@ A segment costs a few dozen numpy calls on small designs, so the engine
 keeps that count down: the event scan reads the columns it may consider
 from a mask that ``solve_path`` updates as columns join, are barred or
 leave, its scalar decisions are on Python floats, and a join appends one
-row to the active set's factor in place.
+row to the active set's factor in place. The path returns at its final
+vertex before any join bookkeeping, so the zero-residual join of a p > n
+path, where every remaining column ties, gathers and appends nothing.
 """
 
 from __future__ import annotations
@@ -206,18 +208,15 @@ def lasso_move_direction(
     Zero when the maximal correlation is at most ``zero_tolerance`` (None:
     CORRELATION_FLOOR times max|X^T y|, where ``solve_path`` ends); otherwise
     the least-squares coefficients of the residual on the columns tied at
-    the maximal correlation, scaled to unit coefficient sum.
+    the maximal correlation, scaled to unit coefficient sum. A tied column
+    in the span of the tied columns before it gets no weight, as in
+    ``solve_path``.
     """
     design = _as_expanded(design)
-    c, active = _tied_at(design, beta, tie_tolerance, zero_tolerance)
-    if active is None:
+    c, tied = _tied_at(design, beta, tie_tolerance, zero_tolerance)
+    if tied is None:
         return MoveDirection(np.zeros(design.p2), ())
-    try:
-        factor = _factor_active(design, active)
-    except DegenerateDesignError:
-        raise DegenerateDesignError(
-            message="active set is collinear; cannot form a move direction"
-        ) from None
+    factor, active, _ = _join(design, CholeskyFactor.empty(), tied[:0], tied)
     return _unit_direction(design.p2, active, factor.solve_gram(c[active]))
 
 
@@ -378,21 +377,52 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     # the supported ones. ``scannable`` is kept up to date as columns join
     # or are barred; ``shadowed`` is the support whose mirrors it excludes,
     # None once a column left the active set (then it is rebuilt).
-    scannable, shadowed = None, None
-    active = _tied_set(c, C, TIE_TOLERANCE)  # an index array, in join order
-    members[active] = True
-    # lar and lasso keep the factor of the active set. fs0 keeps the factor
-    # of the passive set of its last NNLS fit, whose columns carry the move;
-    # the first fit appends the starting tie to an empty one.
-    if mode == "fs0":
-        factor, passive, entering = CholeskyFactor.empty(), (), active
-    else:
-        factor = _factor_active(design, active)
+    scannable, shadowed = np.ones(p2, dtype=bool), None
+    # lar and lasso keep the factor of the active set (an index array, in
+    # join order); fs0 that of the passive set of its last NNLS fit.
+    factor, passive, entering = CholeskyFactor.empty(), (), ()
+    active = np.zeros(0, dtype=int)
+    # The columns tied at the start join as the catchers of any join do.
+    kind, indices, support = EVENT_JOIN, _tied_set(c, C, TIE_TOLERANCE), ()
     max_steps = cfg.max_steps if cfg.max_steps is not None else 16 * p2 + 64
     instant_drops = 0
     since_refresh = 0
 
     for _ in range(max_steps):
+        # Membership updates for the event that ended the last segment. In
+        # monotone mode a coordinate that carried no mass decays faster than
+        # the tied maximum and falls out of contention.
+        if mode == "fs0" and len(support) < active.size:
+            gone = (rho[active] == 0.0) & (d[active] > Delta * (1.0 + STRICT_RTOL))
+            if gone.any():
+                members[active[gone]] = False
+                active = active[~gone]
+                shadowed = None
+        if kind == EVENT_DROP:
+            keep = active != index
+            factor, active = factor.drop_column(int(keep.argmin())), active[keep]
+            members[index] = False
+            shadowed = None
+        elif kind == EVENT_JOIN:
+            if mode == "fs0":
+                # The next NNLS fit appends the catchers to its factor; one
+                # that depends on the factor's columns gets no weight there.
+                entering = indices
+                active = np.concatenate([active, indices])
+            else:
+                # A catcher in the span of the active columns (typical once
+                # the active set saturates the sample size, where every
+                # remaining column ties) cannot carry an independent move:
+                # it is barred with its mirror and the active direction
+                # continues unchanged.
+                factor, active, refused = _join(design, factor, active, indices)
+                for j in refused:
+                    pair = [j, (j + p) % p2]
+                    barred[pair] = True
+                    scannable[pair] = False
+            members[active] = True
+            scannable[active] = False
+
         if stop_norm is not None and ell >= stop_norm:
             return rec.build()
         if stop_lambda is not None and C <= stop_lambda:
@@ -426,9 +456,6 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
             instant_drops += 1
             if instant_drops > p2:
                 raise InternalConsistencyError("drop events are not making progress")
-            factor, active = _drop_active(factor, active, index)
-            members[index] = False
-            shadowed = None
             beta[index] = 0.0
             continue
         instant_drops = 0
@@ -475,60 +502,8 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
 
         rec.append(ell, beta, support, PathEvent(kind=kind, index=index, gamma=gamma, ell=ell))
 
-        if final:
-            return rec.build()
-
-        # Membership updates for the next segment. In monotone mode a
-        # coordinate that carried no mass decays faster than the tied
-        # maximum and falls out of contention.
-        if mode == "fs0" and len(support) < active.size:
-            gone = (rho[active] == 0.0) & (d[active] > Delta * (1.0 + STRICT_RTOL))
-            if gone.any():
-                members[active[gone]] = False
-                active = active[~gone]
-                shadowed = None
-        if kind == EVENT_DROP:
-            factor, active = _drop_active(factor, active, index)
-            members[index] = False
-            shadowed = None
-        elif kind == EVENT_JOIN and mode == "fs0":
-            # The next NNLS fit appends the catchers to its factor; one that
-            # depends on the factor's columns gets no weight there.
-            entering = indices
-            active = np.concatenate([active, indices])
-            members[indices] = True
-            scannable[indices] = False
-        elif kind == EVENT_JOIN:
-            # A catcher in the span of the active columns (typical once the
-            # active set saturates the sample size, where every remaining
-            # column ties) cannot carry an independent move: it is barred
-            # with its mirror and the active direction continues unchanged.
-            if len(indices) > 1:
-                # One batched rank test against the factor at the start of
-                # the event. Appends only shrink a candidate's pivot, so a
-                # column failing here fails the append below too; survivors
-                # still go through it, one at a time and in order.
-                cand = np.asarray(indices)
-                diag = design.base_gram().diagonal()[cand % p]
-                ok = factor.admits(np.vstack([design.gram_entries(active, cand), diag]))
-                pairs = np.concatenate([cand[~ok], (cand[~ok] + p) % p2])
-                barred[pairs] = True
-                scannable[pairs] = False
-                indices = cand[ok].tolist()
-            for j in indices:
-                cols = np.concatenate([active, [j]])
-                try:
-                    factor = _append_factor(design, factor, cols)
-                except DegenerateDesignError:
-                    pair = [j, (j + p) % p2]
-                    barred[pair] = True
-                    scannable[pair] = False
-                    continue
-                active = cols
-                members[j] = True
-                scannable[j] = False
-
-        if C <= floor or r_norm <= r_floor:
+        # The path ends here, before any membership update.
+        if final or C <= floor or r_norm <= r_floor:
             return rec.build()
 
     raise StepBudgetError(
@@ -536,31 +511,22 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     )
 
 
-def _factor_active(design, active):
-    """Cholesky factor of the Gram of the active columns, appended in order."""
-    factor = CholeskyFactor.empty()
-    for k in range(1, active.size + 1):
-        factor = _append_factor(design, factor, active[:k])
-    return factor
+def _join(design, factor, active, joining):
+    """Append the ``joining`` columns, in order, to ``factor`` of ``active``.
 
-
-def _drop_active(factor, active, index):
-    """The factor and active index array without active column ``index``."""
-    keep = active != index
-    return factor.drop_column(int(keep.argmin())), active[keep]
-
-
-def _append_factor(design, factor, cols):
-    """``factor`` of the columns ``cols`` but the last, with the last appended."""
-    j = int(cols[-1])
-    try:
-        return factor.append_column(design.gram_entries(j, cols))
-    except DegenerateDesignError:
-        name = design.base.name_of(j % design.p)
-        raise DegenerateDesignError(
-            column=j,
-            message=f"joining column for {name} is collinear with the active set",
-        ) from None
+    A column that the pivot rule finds in the span of the columns before it
+    is refused. Returns the new factor, the active index array and the
+    list of refused columns.
+    """
+    refused = []
+    for j in joining:
+        cols = np.concatenate([active, [j]])
+        try:
+            factor = factor.append_column(design.gram_entries(j, cols))
+            active = cols
+        except DegenerateDesignError:
+            refused.append(j)
+    return factor, active, refused
 
 
 @dataclass
@@ -589,8 +555,10 @@ def kkt_certify(design, beta: np.ndarray, lam: float, tol: float = 1e-8) -> KKTR
 
     Requires a mirrored coefficient vector with non-negative entries
     (lasso or monotone paths; a LAR path past a sign change is not a
-    certifiable point).
+    certifiable point). ``tol`` must be finite and non-negative.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tolerance must be finite and non-negative, got {tol}")
     design = _as_expanded(design)
     beta = np.asarray(beta, dtype=float)
     if beta.min() < -KKT_NEGATIVE_RTOL * np.abs(beta).max():

@@ -5,7 +5,7 @@ its inverse T = L^-1 and G itself, for columns that join one at a time.
 An append is one matvec with T plus a new row of L, of T and of G,
 written into buffers with room to grow that the factors of one growing
 column sequence share (``_Rows``), with its pivot arithmetic on Python
-floats; the batched rank test and the Gram solve are matvecs with T.
+floats; the Gram solve is two matvecs with T.
 Vector products use ``ndarray.dot``, the same BLAS call as ``@`` without
 the ufunc dispatch that costs about a microsecond at these sizes. A drop keeps
 the leading block of L and T (the columns before the first one dropped)
@@ -16,9 +16,8 @@ of L, so the refactor is one ``np.linalg.cholesky`` and one
 refactor. Lawson-Hanson non-negative least squares runs on such a factor
 and can continue from the one its last call left. One relative pivot
 rule, ``_independent`` with ``PIVOT_RTOL``, makes every rank decision: an
-append raises, ``CholeskyFactor.admits`` rejects the candidate, NNLS
-skips the column. Forming G squares the condition number of A. Factors
-are immutable; update operations return new factors.
+append raises, NNLS skips the column. Forming G squares the condition
+number of A. Factors are immutable; update operations return new factors.
 """
 
 from __future__ import annotations
@@ -135,12 +134,15 @@ class CholeskyFactor:
         """Return the factor of the Gram augmented with one column.
 
         ``gram_row`` holds the inner products of the new column with the
-        existing ones, followed by the new column's squared norm.
+        existing ones, followed by the new column's squared norm. A row with
+        a NaN or infinite entry is refused before any product with it.
         """
         gram_row = np.asarray(gram_row, dtype=float)
         k = self.size
         if gram_row.shape != (k + 1,):
             raise ValueError(f"expected gram row of length {k + 1}, got {gram_row.shape}")
+        if np.count_nonzero(np.isfinite(gram_row)) <= k:  # a NaN or infinite entry
+            raise DegenerateDesignError(column=k)
         g, diag = gram_row[:k], float(gram_row[k])
         max_diag = max(self._max_diag, diag)
         w = self._T.dot(g)
@@ -163,21 +165,6 @@ class CholeskyFactor:
         rows.size = k = k + 1
         L, T, G = rows.views
         return CholeskyFactor(L[:k, :k], T[:k, :k], G[:k, :k], max_diag, rows)
-
-    def admits(self, gram_rows: np.ndarray) -> np.ndarray:
-        """Which of m candidate columns ``append_column`` would accept.
-
-        Column i of ``gram_rows`` (k + 1 by m) is the gram row that
-        ``append_column`` would take for candidate i. One product with T
-        gives every candidate's new pivot, judged by the same rule.
-        """
-        gram_rows = np.asarray(gram_rows, dtype=float)
-        k = self.size
-        if gram_rows.ndim != 2 or gram_rows.shape[0] != k + 1:
-            raise ValueError(f"expected gram rows with {k + 1} rows, got {gram_rows.shape}")
-        diag = gram_rows[k]
-        W = self._T @ gram_rows[:k]
-        return _independent(diag - np.einsum("ij,ij->j", W, W), np.maximum(self._max_diag, diag))
 
     def drop_column(self, index: int) -> "CholeskyFactor":
         """Return the factor of the Gram with one variable removed."""

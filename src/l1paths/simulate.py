@@ -42,6 +42,12 @@ class BlockSpec:
     seed: int = 0
 
 
+def _check_rows(n: int) -> None:
+    # Standardizing needs two rows: one row has no spread.
+    if n < 2:
+        raise ConfigError(f"n must be at least 2, got {n}")
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -100,6 +106,7 @@ def gen_sine(
     sin(6x) / (1 + x) plus noise_scale times standard normal noise, and
     the predictors are the chosen basis functions at the knots.
     """
+    _check_rows(n)
     x = np.linspace(0.0, 1.0, n)
     X, names = spline_columns(x, knots, basis)
     y = signal(x) + noise_scale * _rng(seed).standard_normal(n)
@@ -128,6 +135,9 @@ def gen_block(
     Draw order (for reproducibility): the p iid columns, then the shared
     block factors, then the coefficients, then the noise.
     """
+    _check_rows(n)
+    if block < 1:
+        raise ConfigError(f"block must be at least 1, got {block}")
     if p % block:
         raise ConfigError(f"p={p} is not divisible by block={block}")
     if not 0 <= rho < 1:

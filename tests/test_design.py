@@ -167,7 +167,9 @@ class TestSignedGramGather:
 
         monkeypatch.setattr(lp.CholeskyFactor, "append_column", recording)
         active = np.array([7, 1, 3])
-        lp.lars._factor_active(ed, active)
+        factor, joined, refused = lp.lars._join(ed, lp.CholeskyFactor.empty(), active[:0], active)
+        assert np.array_equal(joined, active) and refused == [] and factor.size == 3
+        assert len(seen) == 3
         for k, row in enumerate(seen):
             expected = self._explicit(ed.base_gram(), self.P, [active[k]], active[: k + 1])
             assert np.array_equal(row, expected[0])

@@ -115,3 +115,19 @@ class TestMatchesScalarReference:
             curve = holdout_mse(design, path, Xh, y_holdout=yh, grid=33)
             assert np.array_equal(curve.ell, ells)
             assert np.array_equal(curve.values, expected)
+
+
+@pytest.mark.parametrize("grid", [1, 0, -5])
+def test_grid_below_two_is_a_config_error(grid):
+    """A grid spans its range from both ends, so it has at least two points."""
+    design, paths = _sine_paths(0)
+    path = paths["lasso"]
+    Xh = rng_for(4).standard_normal((5, design.p))
+    calls = [
+        lambda: lp.rss_profile(design, path, grid=grid),
+        lambda: holdout_mse(design, path, Xh, y_holdout=np.zeros(5), grid=grid),
+        lambda: compare_paths(path, paths["fs0"], grid=grid),
+    ]
+    for call in calls:
+        with pytest.raises(lp.ConfigError, match=f"grid must be at least 2, got {grid}"):
+            call()

@@ -72,6 +72,21 @@ class TestGenBlock:
         with pytest.raises(lp.ConfigError):
             gen_block(p=130, block=20)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"block": 0}, "block must be at least 1, got 0"),
+        ({"block": -20}, "block must be at least 1, got -20"),
+        ({"n": 1}, "n must be at least 2, got 1"),
+        ({"n": 0}, "n must be at least 2, got 0"),
+    ])
+    def test_sizes_below_their_minimum_rejected(self, kwargs, message):
+        with pytest.raises(lp.ConfigError, match=message):
+            gen_block(**kwargs)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_sine_needs_two_rows(self, n):
+        with pytest.raises(lp.ConfigError, match=f"n must be at least 2, got {n}"):
+            gen_sine(n=n)
+
     def test_rho_zero_gives_uncorrelated_columns(self):
         offs = []
         for seed in range(50):

@@ -521,6 +521,41 @@ class TestCli:
         assert np.all(np.diff(path.vertices, axis=0) >= 0.0)
         assert path.end >= 1.0 - 1e-9
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--kind", "block", "--block", "0"), "block must be at least 1, got 0"),
+        (("--kind", "sine", "--n", "0"), "n must be at least 2, got 0"),
+    ], ids=["block_zero", "n_zero"])
+    def test_simulate_rejects_bad_sizes(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "d.csv"
+        code, stdout, err = self.run(capsys, "simulate", *argv, "--out", str(out))
+        assert code == 2
+        assert err.strip().splitlines()[-1] == f"error: {message}"
+        assert not out.exists()
+        assert "rows:" not in stdout
+
+    def test_diagnose_rejects_a_grid_below_two(self, sine_csv, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        self.run(capsys, "solve", "--input", str(sine_csv), "--out", str(path))
+        curve = tmp_path / "c.csv"
+        code, stdout, err = self.run(capsys, "diagnose", "--rss", "--input", str(sine_csv),
+                                     "--path", str(path), "--grid", "0", "--out", str(curve))
+        assert code == 2
+        assert err.strip().splitlines()[-1] == "error: grid must be at least 2, got 0"
+        assert not curve.exists()
+        assert "points:" not in stdout
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_certify_rejects_bad_tolerance(self, sine_csv, tmp_path, capsys, tolerance):
+        path = tmp_path / "p.json"
+        self.run(capsys, "solve", "--input", str(sine_csv), "--method", "lasso",
+                 "--out", str(path))
+        code, stdout, err = self.run(capsys, "certify", "--input", str(sine_csv),
+                                     "--path", str(path), "--tolerance", tolerance)
+        assert code == 2
+        assert err.strip().splitlines()[-1] == (
+            f"error: tolerance must be finite and non-negative, got {float(tolerance)}")
+        assert '"passed"' not in stdout
+
     def test_certify_rejects_signed_path(self, sine_csv, tmp_path, capsys):
         out = tmp_path / "lar.json"
         self.run(capsys, "solve", "--input", str(sine_csv), "--method", "lar",

@@ -118,13 +118,39 @@ class TestMoveDirections:
         np.testing.assert_allclose(move.rho[active], ref / ref.sum(), atol=1e-9)
 
 
+def _copied_top_column(seed, sign):
+    """A Gaussian design with its most correlated column copied (sign 1) or
+    negated (sign -1) into an extra last column: the pair starts tied."""
+    rng = rng_for(seed)
+    X = rng.standard_normal((25, 6))
+    y = X @ rng.standard_normal(6) + rng.standard_normal(25)
+    top = int(np.argmax(np.abs(standardize(lp.Dataset(X=X, y=y)).correlations(y - y.mean()))))
+    design = standardize(lp.Dataset(X=np.column_stack([X, sign * X[:, top]]), y=y))
+    c = np.abs(design.correlations(design.y_centered))
+    assert min(c[top], c[-1]) >= c.max() * (1.0 - 1e-12)
+    return design
+
+
 class TestHelpersMatchEngine:
-    @pytest.mark.parametrize("correlated", [False, True])
-    @pytest.mark.parametrize("mode, helper", [("lar", lasso_move_direction),
-                                              ("fs0", monotone_move_direction)])
+    @pytest.mark.parametrize("mode, helper, correlated", [
+        ("lar", lasso_move_direction, False),
+        ("lar", lasso_move_direction, True),
+        ("lar", lasso_move_direction, "copied"),
+        ("lar", lasso_move_direction, "negated"),
+        ("fs0", monotone_move_direction, False),
+        ("fs0", monotone_move_direction, True),
+    ])
     def test_public_helper_reproduces_every_segment(self, mode, helper, correlated):
+        """Also where a column and its copy or negation tie at the start: the
+        lasso helper, like the engine, gives the copy no weight. (The monotone
+        helper's NNLS enters whichever of the two rounds larger, the engine the
+        first in the tie, so there the two moves differ by which one carries it.)
+        """
         for seed in range(20):
-            design = gaussian_instance(25, 6, seed=seed, correlated=correlated)
+            if correlated in ("copied", "negated"):
+                design = _copied_top_column(seed, 1.0 if correlated == "copied" else -1.0)
+            else:
+                design = gaussian_instance(25, 6, seed=seed, correlated=correlated)
             ed = design.expanded()
             path = solve_path(ed, SolverConfig(mode=mode))
             for k in range(path.n_segments):
@@ -329,14 +355,24 @@ class TestSolvePath:
         path = solve_path(design.expanded(), SolverConfig(mode="lasso"))
         assert path.n_segments == 0
 
-    def test_duplicate_columns_surface_degenerate_design(self):
+    def test_duplicate_columns_in_the_starting_tie_bar_the_copy(self):
+        """The copy ties with its original at the start and is barred there,
+        with its mirror, as a collinear catcher is at a later join."""
         rng = rng_for(18)
         x = rng.standard_normal(15)
         X = np.column_stack([x, x, rng.standard_normal(15)])
         y = x + 0.1 * rng.standard_normal(15)
         design = standardize(lp.Dataset(X=X, y=y))
-        with pytest.raises(lp.DegenerateDesignError):
-            solve_path(design.expanded(), SolverConfig(mode="lasso"))
+        ed = design.expanded()
+        for mode in ("lar", "lasso", "fs0"):
+            path = solve_path(ed, SolverConfig(mode=mode))
+            assert path.n_segments > 0
+            if mode != "fs0":
+                assert not path.vertices[:, [1, 1 + design.p]].any()
+            if mode == "lasso":
+                for beta in path.vertices:
+                    report = kkt_certify(ed, beta, _own_lambda(ed, beta))
+                    assert report.passed, (report.worst_violation, report.tolerance)
 
     def test_p_larger_than_n_reaches_zero_residual(self):
         rng = rng_for(15)
@@ -377,6 +413,20 @@ class TestKKTCertify:
         beta[0] = -0.5
         with pytest.raises(ValueError):
             kkt_certify(design.expanded(), beta, 1.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, -1e-300])
+    def test_rejects_a_tolerance_not_finite_and_non_negative(self, tol):
+        """NaN would fail every point and infinity pass every one."""
+        design = gaussian_instance(20, 5, seed=16)
+        with pytest.raises(lp.ConfigError, match="tolerance must be finite and non-negative"):
+            kkt_certify(design.expanded(), np.zeros(10), 1.0, tol=tol)
+
+    def test_zero_tolerance_is_valid(self):
+        design = gaussian_instance(20, 5, seed=16)
+        lam = float(np.max(np.abs(design.correlations(design.y_centered))))
+        report = kkt_certify(design.expanded(), np.zeros(10), lam, tol=0.0)
+        assert report.tolerance == 0.0
+        assert report.passed == (report.worst_violation == 0.0)
 
 
 RESPONSE_SCALES = [10.0**k for k in (-10, -6, 0, 6)]
@@ -478,14 +528,7 @@ class TestCollinearColumns:
         for seed in range(5):
             design = _copied_column(seed, n, p, sign)
             y = design.y_centered
-            c = np.abs(design.Xs.T @ y)
-            tied_at_start = c[0] >= c.max() * (1.0 - 1e-9)
             for mode in ("lar", "lasso", "fs0"):
-                if tied_at_start and mode != "fs0":
-                    # a collinear pair in the starting tie cannot be factored
-                    with pytest.raises(lp.DegenerateDesignError):
-                        solve_path(design.expanded(), SolverConfig(mode=mode))
-                    continue
                 path = solve_path(design.expanded(), SolverConfig(mode=mode))
                 b = collapse(path.vertices[-1])
                 r = y - design.Xs @ b
@@ -615,3 +658,33 @@ class TestBatchedJoin:
             98, 3, 51, 69, 35, 139, 173, 91, 156, 120, 140, 95, 8, 0,
         ]
         assert len(calls) <= path.n_segments + 1
+
+    @pytest.mark.parametrize("mode", ["lar", "lasso", "fs0"])
+    def test_nothing_is_gathered_after_the_final_vertex(self, monkeypatch, mode):
+        """The path returns at its final vertex, here a zero-residual join of
+        every remaining column, before any join bookkeeping."""
+        recorded, gathered_at, appended_at = [], [], []
+        record = lp.path._PathRecorder.append
+        gather = lp.ExpandedDesign.gram_entries
+        append = lp.CholeskyFactor.append_column
+
+        def recording(self, *args):
+            recorded.append(None)
+            return record(self, *args)
+
+        def gathering(self, rows, cols):
+            gathered_at.append(len(recorded))
+            return gather(self, rows, cols)
+
+        def appending(self, gram_row):
+            appended_at.append(len(recorded))
+            return append(self, gram_row)
+
+        monkeypatch.setattr(lp.path._PathRecorder, "append", recording)
+        monkeypatch.setattr(lp.ExpandedDesign, "gram_entries", gathering)
+        monkeypatch.setattr(lp.CholeskyFactor, "append_column", appending)
+        design = standardize(lp.gen_block(n=30, p=100, seed=0)[0])
+        path = solve_path(design.expanded(), SolverConfig(mode=mode))
+        assert path.events[-1].kind == "join" and len(recorded) == path.n_segments
+        assert gathered_at and max(gathered_at) < path.n_segments
+        assert appended_at and max(appended_at) < path.n_segments
