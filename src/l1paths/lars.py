@@ -41,11 +41,10 @@ import numpy as np
 from .design import ExpandedDesign, StandardizedDesign
 from .errors import (
     ConfigError,
-    DegenerateDesignError,
     InternalConsistencyError,
     StepBudgetError,
 )
-from .linalg import CholeskyFactor, nnls_continue
+from .linalg import CholeskyFactor, append_columns, nnls_continue
 from .path import (
     EVENT_DROP,
     EVENT_FULL_LS,
@@ -216,7 +215,8 @@ def lasso_move_direction(
     c, tied = _tied_at(design, beta, tie_tolerance, zero_tolerance)
     if tied is None:
         return MoveDirection(np.zeros(design.p2), ())
-    factor, active, _ = _join(design, CholeskyFactor.empty(), tied[:0], tied)
+    factor, active, _ = append_columns(
+        design.gram_entries, CholeskyFactor.empty(), tied[:0], tied)
     return _unit_direction(design.p2, active, factor.solve_gram(c[active]))
 
 
@@ -227,14 +227,16 @@ def monotone_move_direction(
     """Instantaneous monotone move: non-negative least squares on the tied set.
 
     Components forced to zero by the sign constraint carry no mass and
-    are excluded from the support. ``zero_tolerance`` as in
-    ``lasso_move_direction``.
+    are excluded from the support. The tied columns enter the fit in index
+    order, as the starting tie of ``solve_path`` does, so a column in the
+    span of the tied columns before it gets no weight. ``zero_tolerance``
+    as in ``lasso_move_direction``.
     """
     design = _as_expanded(design)
     c, active = _tied_at(design, beta, tie_tolerance, zero_tolerance)
     if active is None:
         return MoveDirection(np.zeros(design.p2), ())
-    return _nnls_direction(design, active, c)[0]
+    return _nnls_direction(design, active, c, entering=active)[0]
 
 
 def _scan_events(design, beta, r, r_floor, c, C, rho, scannable, mode, stop_state):
@@ -371,7 +373,6 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     if stop_norm is not None and stop_norm <= 0:
         return rec.build()
 
-    members = np.zeros(p2, dtype=bool)
     barred = np.zeros(p2, dtype=bool)  # columns collinear with the active set
     # The event scan skips the active and barred columns and the mirrors of
     # the supported ones. ``scannable`` is kept up to date as columns join
@@ -395,13 +396,11 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         if mode == "fs0" and len(support) < active.size:
             gone = (rho[active] == 0.0) & (d[active] > Delta * (1.0 + STRICT_RTOL))
             if gone.any():
-                members[active[gone]] = False
                 active = active[~gone]
                 shadowed = None
         if kind == EVENT_DROP:
             keep = active != index
             factor, active = factor.drop_column(int(keep.argmin())), active[keep]
-            members[index] = False
             shadowed = None
         elif kind == EVENT_JOIN:
             if mode == "fs0":
@@ -415,12 +414,12 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
                 # remaining column ties) cannot carry an independent move:
                 # it is barred with its mirror and the active direction
                 # continues unchanged.
-                factor, active, refused = _join(design, factor, active, indices)
+                factor, active, refused = append_columns(
+                    design.gram_entries, factor, active, indices)
                 for j in refused:
                     pair = [j, (j + p) % p2]
                     barred[pair] = True
                     scannable[pair] = False
-            members[active] = True
             scannable[active] = False
 
         if stop_norm is not None and ell >= stop_norm:
@@ -439,7 +438,8 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         # A support that extends the shadowed one adds the mirrors of its new
         # columns; any other support rebuilds the mask.
         if shadowed is None or support[: len(shadowed)] != shadowed:
-            scannable = ~(members | barred)
+            scannable = ~barred
+            scannable[active] = False
             shadowed = ()
         for a in support[len(shadowed):]:
             scannable[(a + p) % p2] = False
@@ -509,24 +509,6 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     raise StepBudgetError(
         f"path did not terminate within {max_steps} steps", path=rec.build(truncated=True)
     )
-
-
-def _join(design, factor, active, joining):
-    """Append the ``joining`` columns, in order, to ``factor`` of ``active``.
-
-    A column that the pivot rule finds in the span of the columns before it
-    is refused. Returns the new factor, the active index array and the
-    list of refused columns.
-    """
-    refused = []
-    for j in joining:
-        cols = np.concatenate([active, [j]])
-        try:
-            factor = factor.append_column(design.gram_entries(j, cols))
-            active = cols
-        except DegenerateDesignError:
-            refused.append(j)
-    return factor, active, refused
 
 
 @dataclass

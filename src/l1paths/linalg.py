@@ -229,6 +229,26 @@ def solve_least_squares(A: np.ndarray, b: np.ndarray, column_names=None) -> np.n
     return factor.solve_gram(A.T @ b)
 
 
+def append_columns(gram, factor: CholeskyFactor, labels, entering):
+    """Append each label in ``entering``, in order, to ``factor`` of ``labels``.
+
+    ``gram(row, cols)`` gives a label's Gram row against a label array, as
+    in ``nnls_continue``. A label that the pivot rule finds in the span of
+    the labels before it is refused. Returns the new factor, its labels (an
+    index array) and the list of refused labels.
+    """
+    refused = []
+    for j in entering:
+        with_j = np.concatenate([labels, [j]])
+        try:
+            factor = factor.append_column(gram(j, with_j))
+        except DegenerateDesignError:
+            refused.append(j)
+            continue
+        labels = with_j
+    return factor, labels, refused
+
+
 def nnls_continue(
     gram, c: np.ndarray, variables, factor: CholeskyFactor, passive, entering=(),
     max_pivots: int | None = None, tol: float | None = None,
@@ -259,13 +279,7 @@ def nnls_continue(
     variables = np.asarray(variables, dtype=int)
     passive = np.asarray(passive, dtype=int)
     kept_factor, kept = factor, passive
-    for j in entering:
-        with_j = np.concatenate([passive, [j]])
-        try:
-            factor = factor.append_column(gram(j, with_j))
-        except DegenerateDesignError:
-            continue
-        passive = with_j
+    factor, passive, _ = append_columns(gram, factor, passive, entering)
     max_pivots = 10 * variables.size if max_pivots is None else max_pivots
     x = None
     pivots = 0

@@ -9,6 +9,7 @@ reproduces the dataset byte for byte.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -48,7 +49,15 @@ def _check_rows(n: int) -> None:
         raise ConfigError(f"n must be at least 2, got {n}")
 
 
+def _check_spread(name: str, value: float) -> None:
+    # A noise scale or variance: zero gives the noiseless response.
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+
+
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -107,6 +116,7 @@ def gen_sine(
     the predictors are the chosen basis functions at the knots.
     """
     _check_rows(n)
+    _check_spread("noise_scale", noise_scale)
     x = np.linspace(0.0, 1.0, n)
     X, names = spline_columns(x, knots, basis)
     y = signal(x) + noise_scale * _rng(seed).standard_normal(n)
@@ -136,6 +146,8 @@ def gen_block(
     block factors, then the coefficients, then the noise.
     """
     _check_rows(n)
+    if p < 1:
+        raise ConfigError(f"p must be at least 1, got {p}")
     if block < 1:
         raise ConfigError(f"block must be at least 1, got {block}")
     if p % block:
@@ -144,6 +156,7 @@ def gen_block(
         raise ConfigError("rho must be in [0, 1)")
     if not 1 <= nonzero_per_block <= block:
         raise ConfigError("nonzero_per_block must be in [1, block]")
+    _check_spread("sigma2", sigma2)
     blocks = p // block
     rng = _rng(seed)
     Z = rng.standard_normal((n, p))

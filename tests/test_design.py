@@ -167,7 +167,8 @@ class TestSignedGramGather:
 
         monkeypatch.setattr(lp.CholeskyFactor, "append_column", recording)
         active = np.array([7, 1, 3])
-        factor, joined, refused = lp.lars._join(ed, lp.CholeskyFactor.empty(), active[:0], active)
+        factor, joined, refused = lp.linalg.append_columns(
+            ed.gram_entries, lp.CholeskyFactor.empty(), active[:0], active)
         assert np.array_equal(joined, active) and refused == [] and factor.size == 3
         assert len(seen) == 3
         for k, row in enumerate(seen):

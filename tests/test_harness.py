@@ -77,6 +77,8 @@ class TestGenBlock:
         ({"block": -20}, "block must be at least 1, got -20"),
         ({"n": 1}, "n must be at least 2, got 1"),
         ({"n": 0}, "n must be at least 2, got 0"),
+        ({"p": 0}, "p must be at least 1, got 0"),
+        ({"p": -20}, "p must be at least 1, got -20"),
     ])
     def test_sizes_below_their_minimum_rejected(self, kwargs, message):
         with pytest.raises(lp.ConfigError, match=message):
@@ -86,6 +88,28 @@ class TestGenBlock:
     def test_sine_needs_two_rows(self, n):
         with pytest.raises(lp.ConfigError, match=f"n must be at least 2, got {n}"):
             gen_sine(n=n)
+
+    @pytest.mark.parametrize("generator, kwargs, message", [
+        (gen_block, {"sigma2": -1.0}, "sigma2 must be finite and non-negative, got -1.0"),
+        (gen_block, {"sigma2": float("nan")}, "sigma2 must be finite and non-negative, got nan"),
+        (gen_block, {"sigma2": float("inf")}, "sigma2 must be finite and non-negative, got inf"),
+        (gen_sine, {"noise_scale": -1.0}, "noise_scale must be finite and non-negative, got -1.0"),
+        (gen_sine, {"noise_scale": float("nan")},
+         "noise_scale must be finite and non-negative, got nan"),
+        (gen_sine, {"noise_scale": -float("inf")},
+         "noise_scale must be finite and non-negative, got -inf"),
+        (gen_block, {"seed": -1}, "seed must be non-negative, got -1"),
+        (gen_sine, {"seed": -1}, "seed must be non-negative, got -1"),
+    ])
+    def test_noise_and_seed_out_of_range_rejected(self, generator, kwargs, message):
+        with pytest.raises(lp.ConfigError, match=message):
+            generator(**kwargs)
+
+    def test_zero_noise_gives_the_noiseless_response(self):
+        data, beta = gen_block(n=20, p=40, sigma2=0.0, seed=3)
+        assert np.array_equal(data.y, data.X @ beta)
+        data = gen_sine(noise_scale=0.0, seed=3)
+        assert np.array_equal(data.y, lp.signal(np.linspace(0.0, 1.0, data.n)))
 
     def test_rho_zero_gives_uncorrelated_columns(self):
         offs = []

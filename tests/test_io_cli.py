@@ -10,6 +10,7 @@ import pytest
 import l1paths as lp
 from l1paths import SolverConfig, collapse, gen_sine, solve_path
 from l1paths import io as pio
+from l1paths import cli
 from l1paths.cli import main
 from oracles import gaussian_instance, rng_for
 
@@ -446,6 +447,101 @@ class TestCli:
         assert code == 2
         assert "nonsense" in err
 
+    @pytest.mark.parametrize("command, values, message", [
+        ("solve", {"max_steps": "5"}, 'config value "5" for max_steps is not one --max-steps takes'),
+        ("solve", {"max_steps": 5.5}, "config value 5.5 for max_steps is not one --max-steps takes"),
+        ("solve", {"stop_norm": "1"}, 'config value "1" for stop_norm is not one --stop-norm takes'),
+        ("solve", {"original_scale": "no"},
+         'config value "no" for original_scale is not one --original-scale takes'),
+        ("solve", {"input": None}, "config value null for input is not one --input takes"),
+        ("solve", {"stop_norm": True}, "config value true for stop_norm is not one --stop-norm takes"),
+        ("solve", {"stop_norm": -1}, "stop_l1_norm must be finite and non-negative, got -1.0"),
+        ("stagewise", {"epsilon": "0.1"}, 'config value "0.1" for epsilon is not one --epsilon takes'),
+        ("simulate", {"seed": "1"}, 'config value "1" for seed is not one --seed takes'),
+        ("simulate", {"seed": -1}, "seed must be non-negative, got -1"),
+    ], ids=["int_as_string", "int_as_fraction", "float_as_string", "switch_as_string",
+            "string_as_null", "float_as_bool", "float_out_of_range", "epsilon_as_string",
+            "seed_as_string", "seed_negative"])
+    def test_config_value_is_checked_like_its_flag(self, sine_csv, tmp_path, capsys,
+                                                   command, values, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out.csv"
+        data = [] if command == "simulate" else ["--input", str(sine_csv)]
+        code, stdout, err = self.run(capsys, command, "--config", str(cfg), *data,
+                                     "--out", str(out))
+        assert code == 2
+        assert err.strip().splitlines()[-1] == f"error: {message}"
+        assert not out.exists()
+        assert len(stdout.splitlines()) <= 1  # at most the config line
+
+    def test_config_value_outside_its_choices_is_a_usage_error(self, sine_csv, tmp_path,
+                                                                  capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "lars"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg), "--input", str(sine_csv)])
+        assert exc.value.code == 2
+        assert "argument --method: invalid choice: 'lars'" in capsys.readouterr().err
+
+    def test_config_file_and_flags_resolve_alike(self, sine_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(sine_csv), "method": "lar", "stop_norm": 2,
+                                   "max_steps": 50, "original_scale": True}))
+        _, from_file, _ = self.run(capsys, "solve", "--config", str(cfg))
+        _, from_flags, _ = self.run(capsys, "solve", "--input", str(sine_csv), "--method", "lar",
+                                    "--stop-norm", "2", "--max-steps", "50", "--original-scale")
+        assert from_file == from_flags
+        assert '"stop_norm": 2.0' in from_file.splitlines()[0]
+
+    # Each subcommand's resolved configuration when no flag is given (diagnose
+    # needs one of its modes).
+    @pytest.mark.parametrize("argv, line", [
+        (["solve"], '{"command": "solve", "input": null, "max_steps": null, "method": "lasso", '
+         '"original_scale": false, "out": null, "response_col": null, "stop_lambda": null, '
+         '"stop_norm": null}'),
+        (["stagewise"], '{"algorithm": "monotone", "arc_budget": null, "command": "stagewise", '
+         '"epsilon": 0.01, "input": null, "loss": "squared", "max_iter": 1000000, "out": null, '
+         '"response_col": null, "stride": 100, "sweep": null}'),
+        (["check-monotone"], '{"command": "check-monotone", "design_only": false, '
+         '"emit_violation": null, "input": null, "max_subset": null, "response_col": null, '
+         '"signs": null, "subset": null}'),
+        (["simulate"], '{"basis": "piecewise-linear", "beta_out": null, "block": 20, '
+         '"command": "simulate", "kind": "sine", "knots": null, "n": null, "noise_scale": 0.25, '
+         '"nonzero_per_block": 1, "out": null, "p": 1000, "rho": 0.95, "seed": 0, '
+         '"sigma2": 36.0}'),
+        (["diagnose", "--rss"], '{"command": "diagnose", "compare": false, "grid": null, '
+         '"holdout": null, "index": "norm", "input": null, "method_label": null, "mse": false, '
+         '"out": null, "path": null, "path_b": null, "response_col": null, "rss": true, '
+         '"truth": null}'),
+        (["certify"], '{"command": "certify", "input": null, "path": null, "response_col": null, '
+         '"tolerance": 1e-08}'),
+    ], ids=lambda v: v[0] if isinstance(v, list) else "")
+    def test_default_config_line(self, capsys, argv, line):
+        code, stdout, _ = self.run(capsys, *argv)
+        assert code == 2  # a required file is missing
+        assert stdout.splitlines()[0] == f"config: {line}"
+
+    def test_diagnose_mode_from_config(self, sine_csv, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        self.run(capsys, "solve", "--input", str(sine_csv), "--out", str(path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rss": True}))
+        code, stdout, _ = self.run(capsys, "diagnose", "--config", str(cfg),
+                                   "--input", str(sine_csv), "--path", str(path))
+        assert code == 0
+        assert '"rss": true' in stdout.splitlines()[0]
+        assert stdout.splitlines()[1].startswith("points: ")
+        code, _, err = self.run(capsys, "diagnose", "--input", str(sine_csv), "--path", str(path))
+        assert code == 2
+        assert err.strip() == "error: one of --rss, --compare or --mse is required"
+
+    def test_workers_flag_is_gone(self, sine_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-monotone", "--input", str(sine_csv), "--workers", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_exit_codes(self, tmp_path, capsys):
         # data error: missing file
         assert self.run(capsys, "solve", "--input", str(tmp_path / "nope.csv"))[0] == 3
@@ -564,6 +660,66 @@ class TestCli:
                                 "--path", str(out))
         assert code == 3
         assert "non-negative" in err
+
+
+def _typed_options():
+    """(subcommand, flag) for every int or float option of the CLI parser."""
+    ap = cli._parser()
+    commands = next(a for a in ap._actions if a.dest == "command").choices
+    return [(name, a.option_strings[0]) for name, sub in commands.items()
+            for a in sub._actions if a.type in (int, float)]
+
+
+# The values of an int or float option that are valid, with their meaning.
+# Every other value the walk tries must be refused with exit 2.
+VALID_VALUES = {
+    ("solve", "--stop-norm", "0"): "the empty path",
+    ("solve", "--stop-lambda", "0"): "no stop before the path ends",
+    ("stagewise", "--max-iter", "0"): "no step: the path is its start",
+    ("stagewise", "--sweep", "0"): "no sweep",
+    ("simulate", "--seed", "0"): "the default seed",
+    ("simulate", "--noise-scale", "0"): "the noiseless response",
+    ("simulate", "--rho", "0"): "independent columns",
+    ("simulate", "--sigma2", "0"): "the noiseless response",
+    ("certify", "--tolerance", "0"): "exact stationarity",
+}
+
+
+@pytest.fixture(scope="module")
+def walk_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("walk")
+    csv, path = root / "sine.csv", root / "lasso.json"
+    pio.write_dataset_csv(gen_sine(n=40, seed=0), csv)
+    pio.write_path_json(solve_path(lp.standardize(gen_sine(n=40, seed=0)).expanded()), path)
+    return str(csv), str(path)
+
+
+def test_valid_values_name_typed_options():
+    assert {key[:2] for key in VALID_VALUES} <= set(_typed_options())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+@pytest.mark.parametrize("command, flag", _typed_options())
+def test_typed_option_walk(command, flag, value, walk_files, tmp_path, capsys):
+    """Each typed option, on a run that reads it, exits 0 for a listed valid
+    value and 2 for any other: never 1 (a traceback), 3, 4 or 5."""
+    csv, path = walk_files
+    base = {
+        "solve": ["--input", csv],
+        "stagewise": ["--input", csv, "--algorithm", "integrate", "--max-iter", "100"],
+        "check-monotone": ["--input", csv],
+        "simulate": ["--kind", "block", "--n", "20", "--p", "40", "--out", str(tmp_path / "d.csv")],
+        "diagnose": ["--rss", "--input", csv, "--path", path],
+        "certify": ["--input", csv, "--path", path],
+    }[command]
+    if flag == "--noise-scale":  # read by the sine generator only
+        base = ["--kind", "sine", "--n", "20", "--out", str(tmp_path / "d.csv")]
+    try:
+        code = main([command, *base, f"{flag}={value}"])
+    except SystemExit as exc:  # the parser refuses a non-integer for an int option
+        code = exc.code
+    capsys.readouterr()
+    assert code == (0 if (command, flag, value) in VALID_VALUES else 2)
 
 
 def test_import_loads_no_scipy():

@@ -139,13 +139,13 @@ class TestHelpersMatchEngine:
         ("lar", lasso_move_direction, "negated"),
         ("fs0", monotone_move_direction, False),
         ("fs0", monotone_move_direction, True),
+        ("fs0", monotone_move_direction, "copied"),
+        ("fs0", monotone_move_direction, "negated"),
     ])
     def test_public_helper_reproduces_every_segment(self, mode, helper, correlated):
-        """Also where a column and its copy or negation tie at the start: the
-        lasso helper, like the engine, gives the copy no weight. (The monotone
-        helper's NNLS enters whichever of the two rounds larger, the engine the
-        first in the tie, so there the two moves differ by which one carries it.)
-        """
+        """Also where a column and its copy or negation tie at the start: each
+        helper, like the engine, enters the tied columns in index order and
+        gives the copy no weight."""
         for seed in range(20):
             if correlated in ("copied", "negated"):
                 design = _copied_top_column(seed, 1.0 if correlated == "copied" else -1.0)
