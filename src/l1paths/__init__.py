@@ -12,9 +12,7 @@ from .diagnostics import (
     Curve,
     PathComparison,
     compare_paths,
-    ell_at_index,
     holdout_mse,
-    index_values,
     rss_at_index,
     rss_profile,
 )
@@ -43,7 +41,7 @@ from .lars import (
     next_event,
     solve_path,
 )
-from .linalg import CholeskyFactor, solve_least_squares, solve_nnls, solve_nnls_gram
+from .linalg import CholeskyFactor, solve_nnls, solve_nnls_gram
 from .losses import LossModel, logistic_loss, squared_error_loss
 from .monotone import (
     ConditionReport,
@@ -57,7 +55,6 @@ from .monotone import (
 from .path import PathEvent, PiecewiseLinearPath, collapse, expand, l1_norm
 from .simulate import (
     BlockSpec,
-    SineSpec,
     analytic_noise_to_signal,
     gen_block,
     gen_sine,
@@ -98,7 +95,6 @@ __all__ = [
     "PiecewiseLinearPath",
     "SearchReport",
     "SignedSubset",
-    "SineSpec",
     "SolverConfig",
     "SolverStallError",
     "StagewiseConfig",
@@ -112,7 +108,6 @@ __all__ = [
     "check_condition",
     "collapse",
     "compare_paths",
-    "ell_at_index",
     "exhaustive_check",
     "expand",
     "fs_epsilon",
@@ -120,7 +115,6 @@ __all__ = [
     "gen_sine",
     "glm_move_direction",
     "holdout_mse",
-    "index_values",
     "kkt_certify",
     "l1_norm",
     "lasso_move_direction",
@@ -133,7 +127,6 @@ __all__ = [
     "rss_at_index",
     "rss_profile",
     "signal",
-    "solve_least_squares",
     "solve_nnls",
     "solve_nnls_gram",
     "solve_path",

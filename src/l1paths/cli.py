@@ -222,6 +222,8 @@ def _cmd_stagewise(cfg) -> int:
     algo = cfg["algorithm"]
     if cfg["sweep"] is not None and cfg["sweep"] < 0:
         raise ConfigError(f"sweep must be at least 0, got {cfg['sweep']}")
+    if cfg["arc_budget"] is not None and algo != "integrate":
+        raise ConfigError("--arc-budget needs --algorithm integrate")
     if loss_name != "squared":
         if algo == "fs":
             raise ConfigError("the signed-coordinate algorithm supports only --loss squared")

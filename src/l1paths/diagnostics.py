@@ -102,16 +102,6 @@ class _IndexMap:
         return float(self.ells_at([value])[0])
 
 
-def index_values(path: PiecewiseLinearPath, ells, index_by: str) -> np.ndarray:
-    """Index value at the given parameter values."""
-    return _IndexMap(path, index_by).values_at(ells)
-
-
-def ell_at_index(path: PiecewiseLinearPath, value: float, index_by: str) -> float:
-    """First parameter value at which the index reaches ``value``."""
-    return _IndexMap(path, index_by).ell_at(value)
-
-
 def _check_grid(grid: int) -> None:
     # A grid spans its range from both ends.
     if grid < 2:
@@ -136,7 +126,7 @@ def rss_profile(
     resid = design.y_centered[None, :] - coll @ design.Xs.T
     rss = (resid**2).sum(axis=1)
     return Curve(
-        index=index_values(path, ells, index_by),
+        index=_IndexMap(path, index_by).values_at(ells),
         values=rss,
         ell=ells,
         index_by=index_by,

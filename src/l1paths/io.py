@@ -40,23 +40,22 @@ def _rows(source) -> list[list[str]]:
     return [row for row in csv.reader(text.splitlines()) if row]
 
 
-def read_dataset_csv(source, response=None, header: bool | None = None) -> Dataset:
+def read_dataset_csv(source, response=None) -> Dataset:
     """Load a dataset from CSV: one row per observation.
 
     The last column is the response unless ``response`` names (or
-    0-based-indexes) another. A header row is auto-detected unless
-    ``header`` is forced.
+    0-based-indexes) another. A first row that does not parse as numbers
+    is a header.
     """
     rows = _rows(source)
     if not rows:
         raise DataError("empty CSV file")
     names = None
-    if header is None:
-        try:
-            [float(v) for v in rows[0]]
-            header = False
-        except ValueError:
-            header = True
+    try:
+        [float(v) for v in rows[0]]
+        header = False
+    except ValueError:
+        header = True
     if header:
         names = [v.strip() for v in rows[0]]
         rows = rows[1:]
@@ -179,40 +178,6 @@ def write_path_csv(path: PiecewiseLinearPath, target) -> None:
         for a in range(2 * path.p):
             lines.append(f"{fmt(ell)},{a},{fmt(path.vertices[k, a])}")
     Path(target).write_text("\n".join(lines) + "\n")
-
-
-def read_path_csv(source, parametrization: str = "l1_norm") -> PiecewiseLinearPath:
-    rows = _rows(source)
-    if not rows or rows[0] != ["ell", "coordinate", "value"]:
-        raise DataError("not a path CSV (missing 'ell,coordinate,value' header)")
-    ells: list[float] = []
-    table: dict[float, dict[int, float]] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise DataError(f"line {i}: expected 3 fields")
-        try:
-            ell, coord, value = float(row[0]), int(row[1]), float(row[2])
-        except ValueError as exc:
-            raise DataError(f"line {i}: {exc}") from None
-        if ell not in table:
-            table[ell] = {}
-            ells.append(ell)
-        table[ell][coord] = value
-    p2 = max(max(d) for d in table.values()) + 1
-    if p2 % 2:
-        raise DataError("path CSV has an odd number of coordinates")
-    vertices = np.zeros((len(ells), p2))
-    for k, ell in enumerate(ells):
-        if len(table[ell]) != p2:
-            raise DataError(f"breakpoint {ell} is missing coordinates")
-        for a, v in table[ell].items():
-            vertices[k, a] = v
-    return PiecewiseLinearPath(
-        breakpoints=np.array(ells),
-        vertices=vertices,
-        segment_active_sets=[()] * (len(ells) - 1),
-        parametrization=parametrization,
-    )
 
 
 def write_path_csv_original(

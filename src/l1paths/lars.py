@@ -154,30 +154,17 @@ def _unit_direction(p2: int, active: np.ndarray, theta: np.ndarray) -> MoveDirec
     return MoveDirection(rho, tuple(active[mass != 0.0].tolist()))
 
 
-def _nnls_direction(
-    design, active, c, weights=None, factor=CholeskyFactor.empty(), passive=(), entering=()
-):
-    """Unit-mass (weighted) non-negative least-squares move on the active columns.
+def _nnls_direction(design, active, c, factor=CholeskyFactor.empty(), passive=(), entering=()):
+    """Unit-mass non-negative least-squares move on the active columns.
 
     ``active``: an index array. ``c``: every mirrored column's correlation
     with the target. Lawson-Hanson continues from ``factor`` (immutable), the
-    factor of the ``passive`` columns, after appending ``entering``. Gram
-    entries come from the cached base Gram, or from the active columns under
-    ``weights``. Returns the direction, and the factor and passive columns of
-    its support.
+    factor of the ``passive`` columns, after appending ``entering``, with
+    Gram entries from the cached base Gram. Returns the direction, and the
+    factor and passive columns of its support.
     """
-    if weights is None:
-        gram = design.gram_entries
-    else:
-        Xa = design.columns(active)
-        G = Xa.T @ (weights[:, None] * Xa)
-        at = np.zeros(design.p2, dtype=int)
-        at[active] = np.arange(active.size)
-
-        def gram(rows, cols):
-            return G[at[rows][..., None], at[cols]]
-
-    theta, factor, passive = nnls_continue(gram, c, active, factor, passive, entering)
+    theta, factor, passive = nnls_continue(
+        design.gram_entries, c, active, factor, passive, entering)
     mass = np.zeros(design.p2)
     mass[passive] = theta
     return _unit_direction(design.p2, active, mass[active]), factor, passive

@@ -210,25 +210,6 @@ class CholeskyFactor:
         return self._T.dot(rhs).dot(self._T)
 
 
-def solve_least_squares(A: np.ndarray, b: np.ndarray, column_names=None) -> np.ndarray:
-    """Minimize ||b - A theta||_2 for a full-column-rank A.
-
-    Raises DegenerateDesignError naming the first column that is
-    numerically dependent on its predecessors.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    try:
-        factor = CholeskyFactor.from_gram(A.T @ A)
-    except DegenerateDesignError as exc:
-        j = exc.column
-        label = column_names[j] if column_names is not None else f"column {j}"
-        raise DegenerateDesignError(
-            column=j, message=f"least squares design is rank deficient at {label}"
-        ) from None
-    return factor.solve_gram(A.T @ b)
-
-
 def append_columns(gram, factor: CholeskyFactor, labels, entering):
     """Append each label in ``entering``, in order, to ``factor`` of ``labels``.
 
@@ -335,21 +316,18 @@ def nnls_continue(
 
 def solve_nnls_gram(
     G: np.ndarray, c: np.ndarray, max_pivots: int | None = None, tol: float | None = None,
-    initial_support: list[int] | None = None,
 ) -> np.ndarray:
     """Minimize ||b - A theta||_2 subject to theta >= 0, given G = A.T A, c = A.T b.
 
     ``nnls_continue`` from an empty factor; see there for ``max_pivots`` and
-    ``tol``. ``initial_support`` is a warm start: its columns enter the
-    passive set first, and the first line move trims it to feasibility.
+    ``tol``.
     """
     G = np.asarray(G, dtype=float)
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
-    warm = dict.fromkeys(int(j) for j in initial_support or () if 0 <= int(j) < n)
     theta, _, passive = nnls_continue(
         lambda rows, cols: G[np.asarray(rows)[..., None], cols], c, np.arange(n),
-        CholeskyFactor.empty(), (), warm, max_pivots, tol,
+        CholeskyFactor.empty(), (), (), max_pivots, tol,
     )
     x = np.zeros(n)
     x[passive] = theta
@@ -358,7 +336,6 @@ def solve_nnls_gram(
 
 def solve_nnls(
     A: np.ndarray, b: np.ndarray, max_pivots: int | None = None, tol: float | None = None,
-    initial_support: list[int] | None = None,
 ) -> np.ndarray:
     """Minimize ||b - A theta||_2 subject to theta >= 0 (rank-deficient A is fine).
 
@@ -366,4 +343,4 @@ def solve_nnls(
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    return solve_nnls_gram(A.T @ A, A.T @ b, max_pivots, tol, initial_support)
+    return solve_nnls_gram(A.T @ A, A.T @ b, max_pivots, tol)

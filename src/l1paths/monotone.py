@@ -18,7 +18,8 @@ of v above the threshold. Its memory is bounded by the previous size's
 factors, the current size's and one chunk of vectors. It returns the first
 violation in a fixed canonical order, or raises for the first singular
 subset before any violation; one pivot rule (``linalg.PIVOT_RTOL``)
-decides singularity here and in ``check_condition``."""
+decides singularity here and in ``check_condition``, which runs the
+search's arithmetic on one subset."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .design import StandardizedDesign
 from .errors import CheckBudgetError, ConfigError, DataError, DegenerateDesignError, TiedKnotError
-from .linalg import CholeskyFactor, _independent
+from .linalg import _independent
 
 
 @dataclass(frozen=True)
@@ -73,42 +74,35 @@ _ROW_BOUND_RTOL = 8 * float(np.finfo(float).eps)
 def check_condition(design: StandardizedDesign, subset: SignedSubset) -> ConditionReport:
     """Row sums of the sign-adjusted inverse Gram for one signed subset.
 
-    Returns the vector v = S (X_A' X_A)^{-1} S 1 and passes when its
-    smallest entry is at least -1e-10. Raises DataError for an index
-    outside [0, p), and DegenerateDesignError for a subset that
-    ``exhaustive_check`` would refuse as singular (see ``_subset_gram``).
+    Returns the vector v = S (X_A' X_A)^{-1} S 1, in the order of
+    ``subset``, and passes when its smallest entry is at least -1e-10. This
+    is the search's arithmetic on one subset: the inverse Gram is bordered
+    by ``_grow`` from the full Gram, one column at a time in increasing
+    index order, and v is the same strided product as in
+    ``_first_violation``, so v is bit-equal to the search's vector for
+    the same signed subset. Raises DataError for an index outside [0, p),
+    and DegenerateDesignError for a subset that ``exhaustive_check`` would
+    refuse as singular.
     """
-    idx = list(subset.indices)
-    bad = [j for j in idx if not 0 <= j < design.p]
+    bad = [j for j in subset.indices if not 0 <= j < design.p]
     if bad:
         raise DataError(f"column index {bad[0]} is out of range for {design.p} columns")
-    gram = _subset_gram(design, subset.indices)
-    v = _subset_vectors(np.linalg.inv(gram), np.asarray(subset.signs, dtype=float))
+    gram = design.Xs.T @ design.Xs
+    order = np.argsort(subset.indices)
+    rows, T, M, top = (np.zeros((0, 1), dtype=np.intp), np.zeros((0, 0, 1)), np.zeros((0, 0, 1)),
+                       np.zeros(1))
+    for j in np.take(subset.indices, order):
+        k = len(rows) + 1
+        Tk, Mk = np.empty((k, k, 1)), np.empty((k, k, 2))  # two wide, as the search's stacks
+        if not _grow(gram, rows, T, M, top, np.zeros(1, dtype=np.intp), np.array([j]), Tk,
+                     Mk[:, :, :1]):
+            raise DegenerateDesignError(
+                message=f"columns {subset.indices} have a singular Gram matrix")
+        rows, T, M, top = np.vstack([rows, [[j]]]), Tk, Mk, np.maximum(top, gram[j, j])
+    signs = np.asarray(subset.signs, dtype=float)[order]
+    v = np.empty(len(order))
+    v[order] = signs * np.matmul(signs, M.transpose(2, 0, 1)[:1])[0]
     return ConditionReport(subset=subset, vector=v, passed=bool(v.min() >= _MIN_ENTRY))
-
-
-def _subset_gram(design: StandardizedDesign, indices: tuple[int, ...]) -> np.ndarray:
-    """Gram block of some columns, in the order given.
-
-    Raises DegenerateDesignError unless ``CholeskyFactor``'s pivot rule
-    admits each column after the lower-indexed ones, the order in which
-    the search factors a subset.
-    """
-    Xa = design.Xs[:, list(indices)]
-    gram = Xa.T @ Xa
-    order = np.argsort(indices)
-    try:
-        CholeskyFactor.from_gram(gram[np.ix_(order, order)])
-    except DegenerateDesignError:
-        raise DegenerateDesignError(
-            message=f"columns {indices} have a singular Gram matrix"
-        ) from None
-    return gram
-
-
-def _subset_vectors(gram_inv_sub: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    # rows: one candidate sign vector; v_i = s_i * (M s)_i
-    return signs * (signs @ gram_inv_sub)
 
 
 def _sign_matrix(k: int) -> np.ndarray:
@@ -177,10 +171,12 @@ def _first_violation(M: np.ndarray, signs: np.ndarray, V: np.ndarray, spare: np.
     M_aa - sum_{b != a} |M_ab| whatever the signs, so a member whose bound
     clears ``_MIN_ENTRY`` on every row by more than the rounding of v
     (``_ROW_BOUND_RTOL`` x k x sum_b |M_ab|) cannot violate and is skipped.
-    The others are gathered into ``spare`` (at least two members wide, so
-    that numpy multiplies them with the same strided loop as the whole
-    stack), and ``V`` (members, sign rows, k) receives v(s) = s * (M s)
-    for each of them and every sign row, from one ``signs @ M``.
+    The others are gathered into ``spare``, and ``V`` (members, sign rows,
+    k) receives v(s) = s * (M s) for each of them and every sign row, from
+    one ``signs @ M``. The stack and ``spare`` are at least two members
+    wide, so that numpy takes its strided loop and never BLAS, and each
+    entry of v is the same sum whatever the stack; ``check_condition``
+    repeats it on one member.
     """
     k, m = len(M), M.shape[2]
     abs_sums = np.abs(M).sum(axis=1)
@@ -257,7 +253,7 @@ def exhaustive_check(
     if total > check_budget:
         raise CheckBudgetError(
             f"{total} signed subsets exceed the budget of {check_budget}; "
-            "raise check_budget to force the search"
+            "lower max_subset_size (--max-subset), or raise check_budget to force the search"
         )
 
     gram = design.Xs.T @ design.Xs
@@ -276,7 +272,7 @@ def exhaustive_check(
         # the inverse Grams of one chunk at a time.
         width = len(parent) if keep else min(step, len(parent))
         Tk = np.empty((k, k, width)) if keep else None
-        Mk = np.empty((k, k, width))
+        Mk = np.empty((k, k, max(2, width)))  # see ``_first_violation``
         V = np.empty((min(step, len(parent)), len(signs), k))
         spare = np.empty((k, k, max(2, len(V))))
         for start in range(0, len(parent), step):

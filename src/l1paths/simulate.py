@@ -24,15 +24,6 @@ DEFAULT_KNOTS = tuple(np.round(np.arange(10) * 0.1, 1))
 
 
 @dataclass
-class SineSpec:
-    n: int = 300
-    basis: str = "piecewise-linear"
-    knots: tuple = DEFAULT_KNOTS
-    noise_scale: float = 0.25
-    seed: int = 0
-
-
-@dataclass
 class BlockSpec:
     n: int = 60
     p: int = 1000

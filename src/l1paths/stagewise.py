@@ -28,10 +28,10 @@ from .lars import (
     TIE_TOLERANCE,
     MoveDirection,
     _as_expanded,
-    _nnls_direction,
     _tied_set,
     _unit_direction,
 )
+from .linalg import solve_nnls_gram
 from .losses import LossModel
 from .path import PiecewiseLinearPath, _PathRecorder, collapse, expand
 
@@ -193,7 +193,8 @@ def glm_move_direction(
     A single column tied at C > 0 is the direction by itself: the weighted
     fit on it alone is C / G_aa > 0, which unit mass scales to exactly 1.
     Two or more tied columns take a weighted non-negative least squares
-    fit of those columns on -u/w (weights w) as the raw direction,
+    fit of those columns on -u/w (weights w), ``solve_nnls_gram`` on their
+    weighted Gram X_A' W X_A and gradients, as the raw direction,
     normalized to unit coefficient sum.
 
     Raises CurvatureError when some weight collapses below 1e-12 (e.g.
@@ -215,7 +216,8 @@ def glm_move_direction(
     active = _tied_set(g, C, tie_tolerance)
     if active.size == 1 and C > 0.0:
         return _unit_direction(design.p2, active, np.ones(1))
-    return _nnls_direction(design, active, g, weights=w)[0]
+    Xa = design.columns(active)
+    return _unit_direction(design.p2, active, solve_nnls_gram(Xa.T @ (w[:, None] * Xa), g[active]))
 
 
 @dataclass

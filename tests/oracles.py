@@ -401,7 +401,7 @@ def compare_paths_reference(a, b, index_by="norm", grid=512, threshold=1e-8):
 def _glm_direction_reference(design, beta, loss, tie_tolerance=lp.lars.TIE_TOLERANCE,
                              zero_tolerance=None):
     """``glm_move_direction`` with every direction from the weighted NNLS."""
-    from l1paths.lars import _as_expanded, _nnls_direction, _tied_set
+    from l1paths.lars import _as_expanded, _tied_set, _unit_direction
     from l1paths.stagewise import _stop_tolerance
 
     design = _as_expanded(design)
@@ -419,7 +419,9 @@ def _glm_direction_reference(design, beta, loss, tie_tolerance=lp.lars.TIE_TOLER
             "second-derivative weights collapsed to zero; reduce the step size"
         )
     active = _tied_set(g, C, tie_tolerance)
-    return _nnls_direction(design, active, g, weights=w)[0]
+    Xa = design.columns(active)
+    theta = lp.solve_nnls_gram(Xa.T @ (w[:, None] * Xa), g[active])
+    return _unit_direction(design.p2, active, theta)
 
 
 def integrate_reference(design, loss, control=None):

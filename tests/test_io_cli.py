@@ -80,11 +80,15 @@ class TestPathSerialization:
         _, path = solved_path()
         target = tmp_path / "p.csv"
         pio.write_path_csv(path, target)
-        back = pio.read_path_csv(target, parametrization=path.parametrization)
-        assert np.max(np.abs(back.vertices - path.vertices)) <= 1e-15 * max(
+        assert target.read_text().startswith("ell,coordinate,value\n")
+        rows = np.loadtxt(target, delimiter=",", skiprows=1)
+        p2 = path.vertices.shape[1]
+        assert np.array_equal(rows[:, 1], np.tile(np.arange(p2), len(path.breakpoints)))
+        vertices = rows[:, 2].reshape(-1, p2)
+        assert np.max(np.abs(vertices - path.vertices)) <= 1e-15 * max(
             1.0, float(np.max(np.abs(path.vertices)))
         )
-        np.testing.assert_allclose(back.breakpoints, path.breakpoints, rtol=1e-15)
+        np.testing.assert_allclose(rows[::p2, 0], path.breakpoints, rtol=1e-15)
 
     def test_original_scale_export_predicts_raw_data(self, tmp_path):
         design, path = solved_path()
@@ -346,8 +350,12 @@ class TestCli:
          "epsilon must be finite and positive, got nan"),
         (("fs", "--epsilon", "inf", "--max-iter", "1"),
          "epsilon must be finite and positive, got inf"),
+        *(((algorithm, "--arc-budget", budget, "--max-iter", "1"),
+           "--arc-budget needs --algorithm integrate")
+          for algorithm in ("fs", "monotone") for budget in ("1", "nan")),
     ], ids=["integrate_step_nan", "integrate_step_inf", "arc_budget_nan", "arc_budget_negative",
-            "monotone_epsilon_nan", "fs_epsilon_inf"])
+            "monotone_epsilon_nan", "fs_epsilon_inf", "fs_arc_budget", "fs_arc_budget_nan",
+            "monotone_arc_budget", "monotone_arc_budget_nan"])
     def test_stagewise_rejects_bad_steps(self, sine_csv, tmp_path, capsys, argv, message):
         algorithm, *rest = argv
         out = tmp_path / "bad.json"
@@ -379,6 +387,22 @@ class TestCli:
         assert got == code
         assert err.strip().splitlines()[-1] == f"error: {message}"
         assert '"passed"' not in stdout
+
+    def test_check_monotone_budget_names_the_subset_size(self, tmp_path, capsys):
+        # 16 columns: 3^16 - 1 = 43,046,720 signed subsets, over the default budget.
+        csv = tmp_path / "wide.csv"
+        X = rng_for(16).standard_normal((40, 16))
+        pio.write_dataset_csv(lp.Dataset(X=X[:, :-1], y=X[:, -1]), csv)
+        code, stdout, err = self.run(capsys, "check-monotone", "--input", str(csv), "--design-only")
+        assert code == 2
+        assert err.strip().splitlines()[-1] == (
+            "error: 43046720 signed subsets exceed the budget of 10000000; lower "
+            "max_subset_size (--max-subset), or raise check_budget to force the search")
+        assert '"passed"' not in stdout
+        code, stdout, _ = self.run(capsys, "check-monotone", "--input", str(csv), "--design-only",
+                                   "--max-subset", "3")
+        assert code == 0
+        assert json.loads(stdout.splitlines()[-1])["checked"] == 2 * 16 + 4 * 120 + 8 * 560
 
     def test_check_monotone_refuses_numerically_singular_violation(self, tmp_path, capsys):
         x = rng_for(2).standard_normal(20)

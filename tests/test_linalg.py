@@ -5,51 +5,11 @@ from l1paths import (
     CholeskyFactor,
     DegenerateDesignError,
     SolverStallError,
-    solve_least_squares,
     solve_nnls,
     solve_nnls_gram,
 )
+from l1paths.linalg import nnls_continue
 from oracles import ls_by_gram_inverse, nnls_by_enumeration, rng_for
-
-
-class TestLeastSquares:
-    def test_identity_1x1(self):
-        theta = solve_least_squares(np.eye(1), np.array([3.0]))
-        assert theta == pytest.approx([3.0])
-
-    def test_orthonormal_columns_give_projection(self):
-        rng = rng_for(0)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-        b = rng.standard_normal(4)
-        theta = solve_least_squares(q, b)
-        np.testing.assert_allclose(theta, q.T @ b, atol=1e-12)
-
-    def test_matches_gram_inverse_oracle(self):
-        rng = rng_for(42)
-        A = rng.standard_normal((20, 5))
-        A = (A - A.mean(0)) / A.std(0)
-        b = rng.standard_normal(20)
-        theta = solve_least_squares(A, b)
-        np.testing.assert_allclose(theta, ls_by_gram_inverse(A, b), atol=1e-9)
-
-    def test_residual_orthogonality(self):
-        for seed in range(25):
-            rng = rng_for(seed)
-            A = rng.standard_normal((15, 4))
-            b = rng.standard_normal(15)
-            theta = solve_least_squares(A, b)
-            resid = b - A @ theta
-            bound = 1e-9 * np.linalg.norm(b) * np.max(np.linalg.norm(A, axis=0))
-            assert np.max(np.abs(A.T @ resid)) <= bound
-
-    def test_duplicate_column_names_offender(self):
-        rng = rng_for(1)
-        a = rng.standard_normal(10)
-        A = np.column_stack([a, a])
-        with pytest.raises(DegenerateDesignError) as err:
-            solve_least_squares(A, rng.standard_normal(10), column_names=["u", "v"])
-        assert err.value.column == 1
-        assert "v" in str(err.value)
 
 
 class TestNNLS:
@@ -155,7 +115,7 @@ class TestCholeskyFactor:
 
 
 class TestBatchedRankTest:
-    """``append_column`` and ``solve_nnls_gram`` take the same rank decisions."""
+    """``append_column`` and ``nnls_continue`` take the same rank decisions."""
 
     def _appends(self, factor, gram_row):
         try:
@@ -165,12 +125,13 @@ class TestBatchedRankTest:
         return True
 
     def _two_decisions(self, A, row, c_new):
-        """Whether ``append_column`` and ``solve_nnls_gram`` take a candidate
+        """Whether ``append_column`` and ``nnls_continue`` take a candidate
         with gram row ``row`` after the columns of A.
 
-        NNLS gets the bordered Gram matrix and a warm start that appends the
-        columns of A first, so its pivot test on the candidate is the same
-        one; ``c_new`` is large, so that the candidate would take weight.
+        NNLS gets the bordered Gram matrix and appends the columns of A and
+        then the candidate (``entering``), so its pivot test on the
+        candidate is the same one; ``c_new`` is large, so that the candidate
+        would take weight.
         """
         k = A.shape[1]
         G = A.T @ A
@@ -180,7 +141,11 @@ class TestBatchedRankTest:
         full[k, :k] = full[:k, k] = row[:k]
         full[k, k] = row[k]
         c = np.append(A.T @ (A @ np.linspace(1.0, 2.0, k)), c_new)
-        theta = solve_nnls_gram(full, c, initial_support=list(range(k + 1)))
+        sub, _, passive = nnls_continue(
+            lambda rows, cols: full[np.asarray(rows)[..., None], cols], c, np.arange(k + 1),
+            CholeskyFactor.empty(), (), entering=range(k + 1))
+        theta = np.zeros(k + 1)
+        theta[passive] = sub
         assert np.all(theta[:k] > 0.0)
         return self._appends(factor, row), bool(theta[k] != 0.0)
 
@@ -298,23 +263,3 @@ class TestFactorUpdates:
         with pytest.raises(IndexError):
             factor.drop_columns([8])
 
-
-class TestNNLSWarmStart:
-    def test_initial_support_gives_the_same_theta(self):
-        """A random warm start reaches the cold start's theta where the optimum is
-        unique (full column rank), and its objective where it is not (m < n)."""
-        for seed in range(1000):
-            rng = rng_for(seed)
-            m = int(rng.integers(3, 9))
-            n = int(rng.integers(1, 5))
-            A = rng.standard_normal((m, n))
-            b = rng.standard_normal(m)
-            G, c = A.T @ A, A.T @ b
-            cold = solve_nnls_gram(G, c)
-            support = list(rng.permutation(n)[: int(rng.integers(0, n + 1))])
-            warm = solve_nnls_gram(G, c, initial_support=support)
-            if m >= n:
-                np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-12)
-            else:
-                r_warm, r_cold = b - A @ warm, b - A @ cold
-                assert abs(r_warm @ r_warm - r_cold @ r_cold) <= 1e-12 * (b @ b)

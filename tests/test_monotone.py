@@ -97,13 +97,19 @@ class TestExhaustiveCheck:
         assert rep.checked == 3**10 - 1
 
     def test_sine_hinge_basis_finds_violation(self):
-        design = standardize(gen_sine(basis="piecewise-linear", seed=0))
-        rep = exhaustive_check(design)
-        assert not rep.passed
-        assert rep.violation is not None
-        confirm = check_condition(design, rep.violation)
-        assert not confirm.passed
-        np.testing.assert_allclose(confirm.vector, rep.vector, atol=1e-12)
+        # check_condition runs the search's arithmetic on the reported subset,
+        # so its vector is the search's bit for bit, in the order it is given.
+        for seed in range(10):
+            design = standardize(gen_sine(basis="piecewise-linear", seed=seed))
+            rep = exhaustive_check(design)
+            assert not rep.passed
+            assert rep.violation is not None
+            confirm = check_condition(design, rep.violation)
+            assert not confirm.passed
+            assert np.array_equal(confirm.vector, rep.vector), seed
+            backward = SignedSubset(rep.violation.indices[::-1], rep.violation.signs[::-1])
+            reversed_vector = check_condition(design, backward).vector
+            assert np.array_equal(reversed_vector, rep.vector[::-1]), seed
 
     def test_budget_guard_refuses_with_count(self):
         design = orthonormal_design(40, 6, seed=3)
