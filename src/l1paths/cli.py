@@ -259,18 +259,33 @@ def _cmd_stagewise(cfg) -> int:
     return EXIT_OK
 
 
+def _signed_subset(cfg) -> SignedSubset:
+    """``--subset`` with ``--signs`` (default all +1); a malformed value is a ConfigError."""
+    try:
+        idx = tuple(map(int, cfg["subset"].split(",")))
+        signs = (1,) * len(idx)
+        if cfg["signs"] is not None:
+            signs = tuple(map(int, cfg["signs"].split(",")))
+        return SignedSubset(indices=idx, signs=signs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _cmd_check_monotone(cfg) -> int:
     _require(cfg, "input")
+    if cfg["signs"] is not None and cfg["subset"] is None:
+        raise ConfigError("--signs needs --subset")
+    if cfg["design_only"] and cfg["response_col"] is not None:
+        raise ConfigError("--response-col cannot be used with --design-only")
+    subset = None if cfg["subset"] is None else _signed_subset(cfg)
     if cfg["design_only"]:
         rows = pio.read_dataset_csv(cfg["input"])
         X = np.column_stack([rows.X, rows.y])
         design = standardize(Dataset(X=X, y=np.zeros(X.shape[0])))
     else:
         _, design = _load_design(cfg)
-    if cfg["subset"]:
-        idx = tuple(map(int, cfg["subset"].split(",")))
-        signs = tuple(map(int, cfg["signs"].split(","))) if cfg["signs"] else (1,) * len(idx)
-        report = check_condition(design, SignedSubset(indices=idx, signs=signs))
+    if subset is not None:
+        report = check_condition(design, subset)
         doc = {
             "passed": report.passed,
             "subset": list(report.subset.indices),

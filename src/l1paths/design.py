@@ -10,6 +10,7 @@ is spent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,10 @@ class StandardizedDesign:
     taken over n (not n - 1) so that the squared norm of every column is
     exactly n. The response is centered unless the design was built for
     a loss that needs it raw, in which case ``y_mean`` is zero.
+
+    ``gram`` is X'X of the standardized columns, the one Gram every solver
+    reads. ``standardize`` returns ``Xs`` read-only, so that the Gram,
+    formed on first use, cannot go stale.
     """
 
     Xs: np.ndarray
@@ -79,6 +84,13 @@ class StandardizedDesign:
     @property
     def p(self) -> int:
         return self.Xs.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Read-only Gram matrix ``Xs.T @ Xs``, formed on first use."""
+        gram = self.Xs.T @ self.Xs
+        gram.flags.writeable = False
+        return gram
 
     def correlations(self, r: np.ndarray) -> np.ndarray:
         """Inner products of every standardized column with r."""
@@ -131,8 +143,10 @@ def standardize(data: Dataset, center_response: bool = True) -> StandardizedDesi
         y_mean = float(data.y.mean())
     else:
         y_mean = 0.0
+    Xs = Xc / scales
+    Xs.flags.writeable = False
     return StandardizedDesign(
-        Xs=Xc / scales,
+        Xs=Xs,
         centers=centers,
         scales=scales,
         y_centered=data.y - y_mean,
@@ -154,7 +168,6 @@ class ExpandedDesign:
         self.base = base
         self.p = base.p
         self.p2 = 2 * base.p
-        self._gram0: np.ndarray | None = None
         # The base column and the sign of each expanded column.
         self._column = np.tile(np.arange(base.p), 2)
         self._sign = np.repeat([1.0, -1.0], base.p)
@@ -187,25 +200,19 @@ class ExpandedDesign:
         p = self.p
         return self.base.Xs.dot(beta[:p] - beta[p:])
 
-    def base_gram(self) -> np.ndarray:
-        """Cached Gram matrix of the standardized columns."""
-        if self._gram0 is None:
-            self._gram0 = self.base.Xs.T @ self.base.Xs
-        return self._gram0
-
     def gram_entries(self, rows, cols) -> np.ndarray:
         """Inner products of the expanded columns at ``rows`` with those at ``cols``.
 
         An index array ``rows`` gives the block, rows by cols; a single index
-        gives that column's one row. Each entry is the base Gram entry times
-        the signs of its two columns, which is exact.
+        gives that column's one row. Each entry is the entry of the base
+        design's ``gram`` times the signs of its two columns, which is exact.
         """
         column, sign = self._column, self._sign
         cols = np.asarray(cols, dtype=int)
         if isinstance(rows, (int, np.integer)) or np.ndim(rows) == 0:
-            row = self.base_gram()[column[rows]].take(column[cols])
+            row = self.base.gram[column[rows]].take(column[cols])
             row *= sign[cols]
             return -row if sign[rows] < 0.0 else row
         rows = np.asarray(rows, dtype=int)
-        return self.base_gram()[column[rows][:, None], column[cols]] * (
+        return self.base.gram[column[rows][:, None], column[cols]] * (
             sign[rows][:, None] * sign[cols])

@@ -160,7 +160,7 @@ def _nnls_direction(design, active, c, factor=CholeskyFactor.empty(), passive=()
     ``active``: an index array. ``c``: every mirrored column's correlation
     with the target. Lawson-Hanson continues from ``factor`` (immutable), the
     factor of the ``passive`` columns, after appending ``entering``, with
-    Gram entries from the cached base Gram. Returns the direction, and the
+    Gram entries from the design's Gram. Returns the direction, and the
     factor and passive columns of its support.
     """
     theta, factor, passive = nnls_continue(

@@ -77,17 +77,18 @@ def check_condition(design: StandardizedDesign, subset: SignedSubset) -> Conditi
     Returns the vector v = S (X_A' X_A)^{-1} S 1, in the order of
     ``subset``, and passes when its smallest entry is at least -1e-10. This
     is the search's arithmetic on one subset: the inverse Gram is bordered
-    by ``_grow`` from the full Gram, one column at a time in increasing
-    index order, and v is the same strided product as in
+    by ``_grow`` from the design's ``gram``, one column at a time in
+    increasing index order, and v is the same strided product as in
     ``_first_violation``, so v is bit-equal to the search's vector for
-    the same signed subset. Raises DataError for an index outside [0, p),
-    and DegenerateDesignError for a subset that ``exhaustive_check`` would
-    refuse as singular.
+    the same signed subset. The design forms its Gram once, so only the
+    first call on a design pays O(n p^2) for it. Raises DataError for an
+    index outside [0, p), and DegenerateDesignError for a subset that
+    ``exhaustive_check`` would refuse as singular.
     """
     bad = [j for j in subset.indices if not 0 <= j < design.p]
     if bad:
         raise DataError(f"column index {bad[0]} is out of range for {design.p} columns")
-    gram = design.Xs.T @ design.Xs
+    gram = design.gram
     order = np.argsort(subset.indices)
     rows, T, M, top = (np.zeros((0, 1), dtype=np.intp), np.zeros((0, 0, 1)), np.zeros((0, 0, 1)),
                        np.zeros(1))
@@ -233,10 +234,10 @@ def exhaustive_check(
 
     A chunk holds at most 2^16 vector entries (or a single subset, if its
     sign rows alone exceed that). Only the previous size's subsets,
-    factors and inverse Grams are kept, so peak memory is bounded by
-    those, the current size's (at the last size, one chunk's inverse
-    Grams) and one chunk of vectors: about 3 MB for the 21,699 subsets of
-    size at most 5 over 20 columns.
+    factors and inverse Grams are kept, so besides the design's Gram peak
+    memory is bounded by those, the current size's (at the last size, one
+    chunk's inverse Grams) and one chunk of vectors: about 3 MB for the
+    21,699 subsets of size at most 5 over 20 columns.
 
     The search runs in the calling process. ``workers`` is accepted for
     existing callers and ignored.
@@ -256,7 +257,7 @@ def exhaustive_check(
             "lower max_subset_size (--max-subset), or raise check_budget to force the search"
         )
 
-    gram = design.Xs.T @ design.Xs
+    gram = design.gram
     # Subsets, their inverse factors T and inverse Grams M = T'T are stacked
     # along the last axis, starting from the empty subset, the parent of
     # every size-1 subset. ``top`` is the largest Gram diagonal among each

@@ -12,6 +12,11 @@ EVENT_FULL_LS = "full_ls"
 EVENT_STOP_NORM = "stop_norm"
 EVENT_STOP_LAMBDA = "stop_lambda"
 
+# A parameter value up to this fraction past a path's end still evaluates,
+# at the end: the last breakpoint is a sum of step lengths, so a value
+# computed to reach it may round just beyond.
+END_RTOL = 1e-12
+
 
 @dataclass
 class PathEvent:
@@ -68,7 +73,7 @@ class PiecewiseLinearPath:
     def evaluate(self, ell) -> np.ndarray:
         """Coefficients at parameter value(s) ell by linear interpolation."""
         ell_arr = np.asarray(ell, dtype=float)
-        if np.any(ell_arr < 0) or np.any(ell_arr > self.end * (1 + 1e-12) + 1e-300):
+        if np.any(ell_arr < 0) or np.any(ell_arr > self.end * (1 + END_RTOL) + 1e-300):
             raise ValueError(f"parameter out of range [0, {self.end}]")
         ell_arr = np.minimum(ell_arr, self.end)
         seg = np.clip(np.searchsorted(self.breakpoints, ell_arr, side="right") - 1, 0,
@@ -101,7 +106,7 @@ class PiecewiseLinearPath:
         every coordinate is monotone.
         """
         ell = float(ell)
-        if ell < 0 or ell > self.end * (1 + 1e-12) + 1e-300:
+        if ell < 0 or ell > self.end * (1 + END_RTOL) + 1e-300:
             raise ValueError(f"parameter out of range [0, {self.end}]")
         ell = min(ell, self.end)
         if self.n_segments == 0:

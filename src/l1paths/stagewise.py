@@ -37,13 +37,20 @@ from .path import PiecewiseLinearPath, _PathRecorder, collapse, expand
 
 # Relative loss increase an Euler step may make and still be accepted.
 LOSS_INCREASE_SLACK = 1e-12
+# Default stop tolerance of the stepping solvers and the Euler integrator,
+# on the largest negative loss gradient, relative to ||response||_2.
+STOP_RTOL = 1e-8
+# A second-derivative weight at or below this has collapsed, and the
+# loss-aware direction raises CurvatureError. Absolute: the weights are the
+# loss's own curvature, e.g. p(1 - p) <= 1/4 for binomial deviance.
+WEIGHT_FLOOR = 1e-12
 
 
 @dataclass
 class StagewiseConfig:
     epsilon: float = 1e-3
     max_iterations: int = 1_000_000
-    stop_correlation_tolerance: float | None = None  # None: 1e-8 x ||response||_2
+    stop_correlation_tolerance: float | None = None  # None: STOP_RTOL x ||response||_2
     record_stride: int = 100
 
     def validate(self):
@@ -58,7 +65,7 @@ class StagewiseConfig:
 def _stop_tolerance(tolerance: float | None, y: np.ndarray) -> float:
     if tolerance is not None:
         return tolerance
-    return 1e-8 * float(np.linalg.norm(y))
+    return STOP_RTOL * float(np.linalg.norm(y))
 
 
 def fs_epsilon(
@@ -112,7 +119,7 @@ def monotone_incremental(
     if loss is None or loss.name == "squared":
         # Row a is the gradient change of one step on mirrored column a:
         # epsilon times its Gram column, negated on the mirrored half.
-        u = (config.epsilon * design.base_gram()).T
+        u = (config.epsilon * design.base.gram).T
         U = np.block([[u, -u], [-u, u]])
         c0 = design.base.Xs.T @ y
         g = np.concatenate([c0, -c0])
@@ -187,7 +194,7 @@ def glm_move_direction(
 
     Steps: evaluate the per-observation first derivatives u and weights
     w at the current predictor; if no column's negative gradient exceeds
-    ``zero_tolerance`` (None: 1e-8 x ||response||_2, the stop tolerance of
+    ``zero_tolerance`` (None: STOP_RTOL x ||response||_2, the stop tolerance of
     ``integrate_monotone_path``) the direction is zero. Otherwise the
     active set collects the columns with the largest negative gradient C.
     A single column tied at C > 0 is the direction by itself: the weighted
@@ -197,7 +204,7 @@ def glm_move_direction(
     weighted Gram X_A' W X_A and gradients, as the raw direction,
     normalized to unit coefficient sum.
 
-    Raises CurvatureError when some weight collapses below 1e-12 (e.g.
+    Raises CurvatureError when some weight falls to WEIGHT_FLOOR (e.g.
     saturated classification probabilities), whatever the number of tied
     columns; a smaller step along the path avoids the saturation.
     """
@@ -209,7 +216,7 @@ def glm_move_direction(
     C = float(g.max())
     if C <= _stop_tolerance(zero_tolerance, y):
         return MoveDirection(np.zeros(design.p2), ())
-    if np.any(w <= 1e-12):
+    if np.any(w <= WEIGHT_FLOOR):
         raise CurvatureError(
             "second-derivative weights collapsed to zero; reduce the step size"
         )
@@ -227,7 +234,7 @@ class StepControl:
     step: float = 1e-3
     arc_budget: float | None = None
     max_steps: int = 200_000
-    gradient_tolerance: float | None = None  # None: 1e-8 x ||response||_2
+    gradient_tolerance: float | None = None  # None: STOP_RTOL x ||response||_2
     min_step_factor: float = 2.0**-20
     record_stride: int = 100
 

@@ -237,7 +237,7 @@ def first_violation_by_enumeration(design, kmax):
     v = s * solve(G_A, s) for every sign vector. Returns a SearchReport
     in the form ``exhaustive_check`` gives.
     """
-    gram = design.Xs.T @ design.Xs
+    gram = design.gram
     p = design.p
     checked = sum(comb(p, k) * 2**k for k in range(1, kmax + 1))
     for k in range(1, kmax + 1):
@@ -267,10 +267,10 @@ def stagewise_reference(design, config, loss=None):
     eps = config.epsilon
     tol = config.stop_correlation_tolerance
     if tol is None:
-        tol = 1e-8 * float(np.linalg.norm(y))
+        tol = lp.stagewise.STOP_RTOL * float(np.linalg.norm(y))
     squared = loss is None or loss.name == "squared"
     if squared:
-        gram = design.base_gram()
+        gram = design.base.gram
         c0 = design.base.Xs.T @ y
         g = np.concatenate([c0, -c0])
     else:
@@ -402,7 +402,7 @@ def _glm_direction_reference(design, beta, loss, tie_tolerance=lp.lars.TIE_TOLER
                              zero_tolerance=None):
     """``glm_move_direction`` with every direction from the weighted NNLS."""
     from l1paths.lars import _as_expanded, _tied_set, _unit_direction
-    from l1paths.stagewise import _stop_tolerance
+    from l1paths.stagewise import WEIGHT_FLOOR, _stop_tolerance
 
     design = _as_expanded(design)
     beta = np.asarray(beta, dtype=float)
@@ -414,7 +414,7 @@ def _glm_direction_reference(design, beta, loss, tie_tolerance=lp.lars.TIE_TOLER
     if C <= _stop_tolerance(zero_tolerance, y):
         return lp.MoveDirection(np.zeros(design.p2), ())
     w = loss.second(y, eta)
-    if np.any(w <= 1e-12):
+    if np.any(w <= WEIGHT_FLOOR):
         raise lp.CurvatureError(
             "second-derivative weights collapsed to zero; reduce the step size"
         )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,9 +118,64 @@ class TestExpandedDesign:
         design = standardize(Dataset(X=rng_for(7).standard_normal((12, 3)),
                                      y=rng_for(8).standard_normal(12)))
         ed = design.expanded()
-        g = ed.base_gram()
+        g = ed.base.gram
         np.testing.assert_allclose(ed.gram_entries(4, [0, 1, 2]), -g[1], atol=0)
         np.testing.assert_allclose(ed.gram_entries(4, [3, 4, 5]), g[1], atol=0)
+
+
+class _CountingXs(np.ndarray):
+    """Standardized columns that count the p x p products formed from them."""
+
+    p = 0
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = tuple(x.view(np.ndarray) if isinstance(x, _CountingXs) else x for x in inputs)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.matmul:
+            self._count(result)
+        return result
+
+    def dot(self, other, out=None):
+        result = self.view(np.ndarray).dot(other, out)
+        self._count(result)
+        return result
+
+    @classmethod
+    def _count(cls, result):
+        if np.shape(result) == (cls.p, cls.p):
+            cls.products += 1
+
+
+class TestOneGram:
+    """A design forms X'X once, for every solver that reads it."""
+
+    @pytest.fixture
+    def design(self):
+        X, y = rng_for(11).standard_normal((30, 6)), rng_for(12).standard_normal(30)
+        return standardize(Dataset(X=X, y=y))
+
+    def test_every_reader_shares_one_product(self, design, monkeypatch):
+        monkeypatch.setattr(_CountingXs, "p", design.p)
+        monkeypatch.setattr(_CountingXs, "products", 0)
+        counting = dataclasses.replace(design, Xs=design.Xs.view(_CountingXs))
+        for mode in ("lar", "lasso", "fs0"):
+            plain = solve_path(design, SolverConfig(mode=mode))
+            for view in (counting.expanded(), counting.expanded()):
+                assert np.array_equal(solve_path(view, SolverConfig(mode=mode)).vertices,
+                                      plain.vertices)
+        lp.monotone_incremental(counting, lp.StagewiseConfig(epsilon=0.05, max_iterations=200))
+        lp.exhaustive_check(counting, max_subset_size=3)
+        lp.check_condition(counting, lp.SignedSubset(indices=(0, 4), signs=(1, -1)))
+        lp.check_condition(counting, lp.SignedSubset(indices=(1, 2, 5), signs=(1, 1, -1)))
+        assert _CountingXs.products == 1
+        assert np.array_equal(counting.gram, design.Xs.T @ design.Xs)
+
+    def test_columns_and_gram_refuse_writes(self, design):
+        with pytest.raises(ValueError, match="read-only"):
+            design.Xs[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            design.gram[0, 0] = 1.0
 
 
 class TestSignedGramGather:
@@ -146,13 +203,13 @@ class TestSignedGramGather:
     ])
     def test_block(self, ed, rows, cols):
         block = ed.gram_entries(np.array(rows, dtype=int), np.array(cols, dtype=int))
-        expected = self._explicit(ed.base_gram(), self.P, rows, cols).reshape(len(rows), len(cols))
+        expected = self._explicit(ed.base.gram, self.P, rows, cols).reshape(len(rows), len(cols))
         assert np.array_equal(block, expected)
 
     @pytest.mark.parametrize("row, cols", [(7, [0, 7, 3, 9]), (2, [8, 1, 2]), (9, [])])
     def test_one_row(self, ed, row, cols):
         entries = ed.gram_entries(row, cols)
-        expected = self._explicit(ed.base_gram(), self.P, [row], cols).reshape(len(cols))
+        expected = self._explicit(ed.base.gram, self.P, [row], cols).reshape(len(cols))
         assert entries.shape == (len(cols),)
         assert np.array_equal(entries, expected)
 
@@ -172,7 +229,7 @@ class TestSignedGramGather:
         assert np.array_equal(joined, active) and refused == [] and factor.size == 3
         assert len(seen) == 3
         for k, row in enumerate(seen):
-            expected = self._explicit(ed.base_gram(), self.P, [active[k]], active[: k + 1])
+            expected = self._explicit(ed.base.gram, self.P, [active[k]], active[: k + 1])
             assert np.array_equal(row, expected[0])
 
 

@@ -381,7 +381,20 @@ class TestCli:
         (("--subset", "0,99"), 3, "column index 99 is out of range for 10 columns"),
         (("--max-subset", "0"), 2, "max_subset_size must be at least 1"),
         (("--max-subset", "-2"), 2, "max_subset_size must be at least 1"),
-    ], ids=["negative_index", "index_past_end", "size_zero", "size_negative"])
+        (("--subset", "0,1", "--signs", "1"), 2, "indices and signs disagree in length"),
+        (("--subset", "0,0"), 2, "indices must be distinct"),
+        (("--subset", "0,1", "--signs", "1,2"), 2, "signs must be +1 or -1"),
+        (("--subset", "a,1"), 2, "invalid literal for int() with base 10: 'a'"),
+        (("--subset", ","), 2, "invalid literal for int() with base 10: ''"),
+        (("--subset=",), 2, "invalid literal for int() with base 10: ''"),
+        (("--subset", "0,1", "--signs="), 2, "invalid literal for int() with base 10: ''"),
+        (("--signs", "1,-1"), 2, "--signs needs --subset"),
+        (("--design-only", "--response-col", "y"), 2,
+         "--response-col cannot be used with --design-only"),
+    ], ids=["negative_index", "index_past_end", "size_zero", "size_negative", "signs_length",
+            "repeated_index", "sign_two", "index_not_int", "empty_index", "empty_subset",
+            "empty_signs", "signs_alone",
+            "response_col_design_only"])
     def test_check_monotone_rejects_bad_subsets(self, sine_csv, capsys, argv, code, message):
         got, stdout, err = self.run(capsys, "check-monotone", "--input", str(sine_csv), *argv)
         assert got == code
