@@ -5,7 +5,8 @@ paths), check-monotone (signed-subset condition), simulate (data
 generators), diagnose (profiles and comparisons), certify (stationarity
 report for a stored path).
 
-Every run prints its resolved configuration as a JSON line. Exit codes:
+Every run prints its resolved configuration as a JSON line, and each
+warning as one ``warning: <message>`` line on stderr. Exit codes:
 0 success, 2 configuration error, 3 data error, 4 solver error,
 5 internal consistency violation.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +277,8 @@ def _cmd_check_monotone(cfg) -> int:
     _require(cfg, "input")
     if cfg["signs"] is not None and cfg["subset"] is None:
         raise ConfigError("--signs needs --subset")
+    if cfg["max_subset"] is not None and cfg["subset"] is not None:
+        raise ConfigError("--max-subset cannot be used with --subset")
     if cfg["design_only"] and cfg["response_col"] is not None:
         raise ConfigError("--response-col cannot be used with --design-only")
     subset = None if cfg["subset"] is None else _signed_subset(cfg)
@@ -392,22 +396,29 @@ _HANDLERS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a warning as its message alone, so stderr names no source file."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        cfg = _resolve(argv)
-        return _HANDLERS[cfg["command"]](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except InternalConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except L1PathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            cfg = _resolve(argv)
+            return _HANDLERS[cfg["command"]](cfg)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (DataError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except InternalConsistencyError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        except L1PathError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
 
 
 if __name__ == "__main__":

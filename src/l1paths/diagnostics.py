@@ -22,6 +22,9 @@ INDEX_CHOICES = ("norm", "arclength")
 # path's own end; a value within this fraction of the largest index value
 # maps to the last knot.
 INDEX_END_RTOL = 1e-12
+# compare_paths locates the first index value where the collapsed
+# coefficients of the two paths differ by more than this. Absolute.
+DIVERGENCE_TOLERANCE = 1e-8
 # compare_paths refines the first divergence by this many bisection steps,
 # testing the midpoints of this many consecutive steps in one evaluation.
 _BISECTION_STEPS = 60
@@ -149,15 +152,14 @@ def compare_paths(
     b: PiecewiseLinearPath,
     index_by: str = "norm",
     grid: int = 512,
-    threshold: float = 1e-8,
 ) -> PathComparison:
     """Sup distance between two paths at matched index values.
 
     Evaluates both paths (collapsed) on the union of their breakpoint
     index values plus an even fill over the common index range, takes
     the sup of the coordinate-wise differences, and locates the first
-    index value where the difference exceeds ``threshold``, refined by
-    60 bisection steps.
+    index value where the difference exceeds DIVERGENCE_TOLERANCE, refined
+    by 60 bisection steps.
     """
     _check_grid(grid)
     map_a = _IndexMap(a, index_by)
@@ -174,19 +176,19 @@ def compare_paths(
     diffs = diff_at(values)
     sup = float(diffs.max()) if diffs.size else 0.0
     divergence = None
-    over = np.flatnonzero(diffs > threshold)
+    over = np.flatnonzero(diffs > DIVERGENCE_TOLERANCE)
     if over.size:
         k = int(over[0])
         lo_v = float(values[k - 1]) if k else 0.0
         hi_v = float(values[k])
         for _ in range(_BISECTION_STEPS // _BISECTION_LEVELS):
-            lo_v, hi_v = _bisect(lo_v, hi_v, lambda v: diff_at(v) > threshold)
+            lo_v, hi_v = _bisect(lo_v, hi_v, lambda v: diff_at(v) > DIVERGENCE_TOLERANCE)
         divergence = hi_v
     return PathComparison(
         sup_difference=sup,
         divergence_index=divergence,
         index_by=index_by,
-        threshold=threshold,
+        threshold=DIVERGENCE_TOLERANCE,
     )
 
 

@@ -132,8 +132,8 @@ def _as_expanded(design) -> ExpandedDesign:
     return design
 
 
-def _tied_set(c: np.ndarray, C: float, tie_tolerance: float) -> np.ndarray:
-    return (c >= C - tie_tolerance * abs(C)).nonzero()[0]
+def _tied_set(c: np.ndarray, C: float) -> np.ndarray:
+    return (c >= C - TIE_TOLERANCE * abs(C)).nonzero()[0]
 
 
 def _norm(x: np.ndarray) -> float:
@@ -170,36 +170,29 @@ def _nnls_direction(design, active, c, factor=CholeskyFactor.empty(), passive=()
     return _unit_direction(design.p2, active, mass[active]), factor, passive
 
 
-def _tied_at(design, beta, tie_tolerance, zero_tolerance):
+def _tied_at(design, beta):
     """Correlations at the mirrored point ``beta`` and the columns tied at
-    their maximum C, or no columns when C is at most ``zero_tolerance``.
-
-    ``zero_tolerance=None`` is the floor at which ``solve_path`` ends:
-    CORRELATION_FLOOR times max|X^T y|.
+    their maximum C, or no columns when C is at most the floor at which
+    ``solve_path`` ends: CORRELATION_FLOOR times max|X^T y|.
     """
     y = design.base.y_centered
-    if zero_tolerance is None:
-        zero_tolerance = CORRELATION_FLOOR * max(float(design.correlations(y).max()), 1e-300)
+    floor = CORRELATION_FLOOR * max(float(design.correlations(y).max()), 1e-300)
     c = design.correlations(y - design.predict(np.asarray(beta, dtype=float)))
     C = float(c.max())
-    return c, (None if C <= zero_tolerance else _tied_set(c, C, tie_tolerance))
+    return c, (None if C <= floor else _tied_set(c, C))
 
 
-def lasso_move_direction(
-    design, beta: np.ndarray, tie_tolerance: float = TIE_TOLERANCE,
-    zero_tolerance: float | None = None,
-) -> MoveDirection:
+def lasso_move_direction(design, beta: np.ndarray) -> MoveDirection:
     """Instantaneous lasso move from an arbitrary mirrored point.
 
-    Zero when the maximal correlation is at most ``zero_tolerance`` (None:
-    CORRELATION_FLOOR times max|X^T y|, where ``solve_path`` ends); otherwise
-    the least-squares coefficients of the residual on the columns tied at
-    the maximal correlation, scaled to unit coefficient sum. A tied column
-    in the span of the tied columns before it gets no weight, as in
-    ``solve_path``.
+    Zero when the maximal correlation is at most CORRELATION_FLOOR times
+    max|X^T y|, where ``solve_path`` ends; otherwise the least-squares
+    coefficients of the residual on the columns tied at the maximal
+    correlation, scaled to unit coefficient sum. A tied column in the span
+    of the tied columns before it gets no weight, as in ``solve_path``.
     """
     design = _as_expanded(design)
-    c, tied = _tied_at(design, beta, tie_tolerance, zero_tolerance)
+    c, tied = _tied_at(design, beta)
     if tied is None:
         return MoveDirection(np.zeros(design.p2), ())
     factor, active, _ = append_columns(
@@ -207,20 +200,17 @@ def lasso_move_direction(
     return _unit_direction(design.p2, active, factor.solve_gram(c[active]))
 
 
-def monotone_move_direction(
-    design, beta: np.ndarray, tie_tolerance: float = TIE_TOLERANCE,
-    zero_tolerance: float | None = None,
-) -> MoveDirection:
+def monotone_move_direction(design, beta: np.ndarray) -> MoveDirection:
     """Instantaneous monotone move: non-negative least squares on the tied set.
 
     Components forced to zero by the sign constraint carry no mass and
     are excluded from the support. The tied columns enter the fit in index
     order, as the starting tie of ``solve_path`` does, so a column in the
-    span of the tied columns before it gets no weight. ``zero_tolerance``
-    as in ``lasso_move_direction``.
+    span of the tied columns before it gets no weight. Zero below the same
+    floor as ``lasso_move_direction``.
     """
     design = _as_expanded(design)
-    c, active = _tied_at(design, beta, tie_tolerance, zero_tolerance)
+    c, active = _tied_at(design, beta)
     if active is None:
         return MoveDirection(np.zeros(design.p2), ())
     return _nnls_direction(design, active, c, entering=active)[0]
@@ -312,7 +302,7 @@ def next_event(design, beta, direction: MoveDirection, mode: str = "lasso") -> P
     c = design.correlations(r)
     C = float(c.max())
     scannable = np.ones(design.p2, dtype=bool)
-    scannable[_tied_set(c, C, TIE_TOLERANCE)] = False
+    scannable[_tied_set(c, C)] = False
     scannable[(direction.rho.nonzero()[0] + design.p) % design.p2] = False
     gamma, kind, indices, _, _, _ = _scan_events(
         design, beta, r, RESIDUAL_FLOOR * _norm(y), c, C, direction.rho,
@@ -371,7 +361,7 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     factor, passive, entering = CholeskyFactor.empty(), (), ()
     active = np.zeros(0, dtype=int)
     # The columns tied at the start join as the catchers of any join do.
-    kind, indices, support = EVENT_JOIN, _tied_set(c, C, TIE_TOLERANCE), ()
+    kind, indices, support = EVENT_JOIN, _tied_set(c, C), ()
     max_steps = cfg.max_steps if cfg.max_steps is not None else 16 * p2 + 64
     instant_drops = 0
     since_refresh = 0

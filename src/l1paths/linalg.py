@@ -37,6 +37,8 @@ NNLS_DUAL_RTOL = 1e-10
 # NNLS line-move floor: a passive coefficient a line move leaves at or below
 # this fraction of the largest coefficient after the move is set to zero.
 NNLS_FLOOR_RTOL = 1e-14
+# NNLS support changes allowed per variable before SolverStallError.
+NNLS_PIVOT_BUDGET = 10
 
 
 def _independent(d2, max_diag):
@@ -230,10 +232,7 @@ def append_columns(gram, factor: CholeskyFactor, labels, entering):
     return factor, labels, refused
 
 
-def nnls_continue(
-    gram, c: np.ndarray, variables, factor: CholeskyFactor, passive, entering=(),
-    max_pivots: int | None = None, tol: float | None = None,
-):
+def nnls_continue(gram, c: np.ndarray, variables, factor: CholeskyFactor, passive, entering=()):
     """Lawson-Hanson non-negative least squares on a kept Cholesky factor.
 
     Variables are named by integer labels: ``gram(rows, cols)`` returns the
@@ -247,12 +246,12 @@ def nnls_continue(
     drops in one ``drop_columns``. The first move starts from the fit on
     P before ``entering`` where that is positive, else from zero, which
     drops every non-positive coefficient at once. Then the largest dual
-    ``c - G theta`` of a variable outside P above ``tol`` enters P by
-    ``append_column``; a candidate failing the pivot rule depends on P and
-    is skipped for that iteration (Lawson-Hanson step 6). ``max_pivots``
-    caps support changes (default ``10 n`` for n variables; then
-    SolverStallError); ``tol`` defaults to NNLS_DUAL_RTOL times max|c|
-    over the variables, so scaling c leaves every decision unchanged.
+    ``c - G theta`` of a variable outside P above NNLS_DUAL_RTOL times
+    max|c| over the variables enters P by ``append_column``, so scaling c
+    leaves every decision unchanged; a candidate failing the pivot rule
+    depends on P and is skipped for that iteration (Lawson-Hanson step 6).
+    More than NNLS_PIVOT_BUDGET support changes per variable raise
+    SolverStallError.
 
     Returns theta on the passive set, its factor and the passive labels
     (an index array, in factor order).
@@ -261,12 +260,12 @@ def nnls_continue(
     passive = np.asarray(passive, dtype=int)
     kept_factor, kept = factor, passive
     factor, passive, _ = append_columns(gram, factor, passive, entering)
-    max_pivots = 10 * variables.size if max_pivots is None else max_pivots
-    x = None
+    pivot_cap = NNLS_PIVOT_BUDGET * variables.size
+    x = tol = None
     pivots = 0
     while True:
         while passive.size:  # refit on P; line moves shed non-positive entries
-            if pivots > max_pivots:
+            if pivots > pivot_cap:
                 raise SolverStallError(
                     f"non-negative least squares stalled after {pivots - 1} pivots"
                 )
@@ -314,33 +313,28 @@ def nnls_continue(
         pivots += 1
 
 
-def solve_nnls_gram(
-    G: np.ndarray, c: np.ndarray, max_pivots: int | None = None, tol: float | None = None,
-) -> np.ndarray:
+def solve_nnls_gram(G: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Minimize ||b - A theta||_2 subject to theta >= 0, given G = A.T A, c = A.T b.
 
-    ``nnls_continue`` from an empty factor; see there for ``max_pivots`` and
-    ``tol``.
+    ``nnls_continue`` from an empty factor.
     """
     G = np.asarray(G, dtype=float)
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     theta, _, passive = nnls_continue(
         lambda rows, cols: G[np.asarray(rows)[..., None], cols], c, np.arange(n),
-        CholeskyFactor.empty(), (), (), max_pivots, tol,
+        CholeskyFactor.empty(), (),
     )
     x = np.zeros(n)
     x[passive] = theta
     return x
 
 
-def solve_nnls(
-    A: np.ndarray, b: np.ndarray, max_pivots: int | None = None, tol: float | None = None,
-) -> np.ndarray:
+def solve_nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimize ||b - A theta||_2 subject to theta >= 0 (rank-deficient A is fine).
 
-    ``solve_nnls_gram`` on ``A.T A`` and ``A.T b``; see there for the options.
+    ``solve_nnls_gram`` on ``A.T A`` and ``A.T b``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    return solve_nnls_gram(A.T @ A, A.T @ b, max_pivots, tol)
+    return solve_nnls_gram(A.T @ A, A.T @ b)

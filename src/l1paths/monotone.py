@@ -69,6 +69,8 @@ _MIN_ENTRY = -1e-10
 # Rounding margin of the row bound that lets the search skip a subset's
 # sign rows, relative to k x sum_b |M_ab| (see ``_first_violation``).
 _ROW_BOUND_RTOL = 8 * float(np.finfo(float).eps)
+# exhaustive_check refuses a search of more signed subsets than this.
+CHECK_BUDGET = 10_000_000
 
 
 def check_condition(design: StandardizedDesign, subset: SignedSubset) -> ConditionReport:
@@ -201,7 +203,6 @@ def _first_violation(M: np.ndarray, signs: np.ndarray, V: np.ndarray, spare: np.
 def exhaustive_check(
     design: StandardizedDesign,
     max_subset_size: int | None = None,
-    check_budget: int = 10_000_000,
     workers: int | None = None,
 ) -> SearchReport:
     """Search every signed subset for a monotonicity violation.
@@ -244,17 +245,17 @@ def exhaustive_check(
 
     Raises ConfigError if ``max_subset_size`` is below 1, and refuses to
     start (CheckBudgetError) if the total count of signed subsets
-    exceeds ``check_budget``.
+    exceeds CHECK_BUDGET.
     """
     p = design.p
     if max_subset_size is not None and max_subset_size < 1:
         raise ConfigError("max_subset_size must be at least 1")
     kmax = p if max_subset_size is None else min(max_subset_size, p)
     total = sum(comb(p, k) * 2**k for k in range(1, kmax + 1))
-    if total > check_budget:
+    if total > CHECK_BUDGET:
         raise CheckBudgetError(
-            f"{total} signed subsets exceed the budget of {check_budget}; "
-            "lower max_subset_size (--max-subset), or raise check_budget to force the search"
+            f"{total} signed subsets exceed the budget of {CHECK_BUDGET}; "
+            "lower max_subset_size (--max-subset)"
         )
 
     gram = design.gram

@@ -25,7 +25,6 @@ import numpy as np
 from .design import StandardizedDesign
 from .errors import ConfigError, CurvatureError, StepSizeError
 from .lars import (
-    TIE_TOLERANCE,
     MoveDirection,
     _as_expanded,
     _tied_set,
@@ -37,9 +36,13 @@ from .path import PiecewiseLinearPath, _PathRecorder, collapse, expand
 
 # Relative loss increase an Euler step may make and still be accepted.
 LOSS_INCREASE_SLACK = 1e-12
-# Default stop tolerance of the stepping solvers and the Euler integrator,
-# on the largest negative loss gradient, relative to ||response||_2.
+# Stop tolerance of the stepping solvers, the Euler integrator and the
+# loss-aware direction, on the largest negative loss gradient, relative to
+# ||response||_2.
 STOP_RTOL = 1e-8
+# The Euler integrator's floor step, as a fraction of StepControl.step: a
+# step halved below it aborts the integration.
+STEP_FLOOR = 2.0**-20
 # A second-derivative weight at or below this has collapsed, and the
 # loss-aware direction raises CurvatureError. Absolute: the weights are the
 # loss's own curvature, e.g. p(1 - p) <= 1/4 for binomial deviance.
@@ -50,7 +53,6 @@ WEIGHT_FLOOR = 1e-12
 class StagewiseConfig:
     epsilon: float = 1e-3
     max_iterations: int = 1_000_000
-    stop_correlation_tolerance: float | None = None  # None: STOP_RTOL x ||response||_2
     record_stride: int = 100
 
     def validate(self):
@@ -62,9 +64,7 @@ class StagewiseConfig:
             raise ConfigError("max_iterations must be non-negative")
 
 
-def _stop_tolerance(tolerance: float | None, y: np.ndarray) -> float:
-    if tolerance is not None:
-        return tolerance
+def _stop_tolerance(y: np.ndarray) -> float:
     return STOP_RTOL * float(np.linalg.norm(y))
 
 
@@ -113,7 +113,7 @@ def monotone_incremental(
     config.validate()
     design = _as_expanded(design)
     y = design.base.y_centered
-    tol = _stop_tolerance(config.stop_correlation_tolerance, y)
+    tol = _stop_tolerance(y)
     steps: list[int] = []
     truncated = False
     if loss is None or loss.name == "squared":
@@ -183,19 +183,13 @@ def _epsilon_path(design, steps: np.ndarray, config: StagewiseConfig, truncated:
     )
 
 
-def glm_move_direction(
-    design,
-    beta: np.ndarray,
-    loss: LossModel,
-    tie_tolerance: float = TIE_TOLERANCE,
-    zero_tolerance: float | None = None,
-) -> MoveDirection:
+def glm_move_direction(design, beta: np.ndarray, loss: LossModel) -> MoveDirection:
     """Loss-aware monotone move direction at a mirrored point.
 
     Steps: evaluate the per-observation first derivatives u and weights
     w at the current predictor; if no column's negative gradient exceeds
-    ``zero_tolerance`` (None: STOP_RTOL x ||response||_2, the stop tolerance of
-    ``integrate_monotone_path``) the direction is zero. Otherwise the
+    STOP_RTOL x ||response||_2, the stop tolerance of
+    ``integrate_monotone_path``, the direction is zero. Otherwise the
     active set collects the columns with the largest negative gradient C.
     A single column tied at C > 0 is the direction by itself: the weighted
     fit on it alone is C / G_aa > 0, which unit mass scales to exactly 1.
@@ -209,18 +203,24 @@ def glm_move_direction(
     columns; a smaller step along the path avoids the saturation.
     """
     design = _as_expanded(design)
+    return _glm_direction(design, beta, loss, _stop_tolerance(design.base.y_centered))
+
+
+def _glm_direction(design, beta, loss: LossModel, tol: float) -> MoveDirection:
+    """``glm_move_direction`` on an expanded design, given its stop
+    tolerance, which the integrator computes once per run."""
     beta = np.asarray(beta, dtype=float)
     y = design.base.y_centered
     u, w = loss.derivatives(y, design.predict(beta))
     g = design.correlations(-u)  # negative gradient per mirrored column
     C = float(g.max())
-    if C <= _stop_tolerance(zero_tolerance, y):
+    if C <= tol:
         return MoveDirection(np.zeros(design.p2), ())
     if np.any(w <= WEIGHT_FLOOR):
         raise CurvatureError(
             "second-derivative weights collapsed to zero; reduce the step size"
         )
-    active = _tied_set(g, C, tie_tolerance)
+    active = _tied_set(g, C)
     if active.size == 1 and C > 0.0:
         return _unit_direction(design.p2, active, np.ones(1))
     Xa = design.columns(active)
@@ -234,8 +234,6 @@ class StepControl:
     step: float = 1e-3
     arc_budget: float | None = None
     max_steps: int = 200_000
-    gradient_tolerance: float | None = None  # None: STOP_RTOL x ||response||_2
-    min_step_factor: float = 2.0**-20
     record_stride: int = 100
 
     def validate(self):
@@ -245,16 +243,8 @@ class StepControl:
             math.isfinite(self.arc_budget) and self.arc_budget > 0
         ):
             raise ConfigError(f"arc_budget must be finite and positive, got {self.arc_budget}")
-        if not 0 < self.min_step_factor <= 1:
-            raise ConfigError(f"min_step_factor must be in (0, 1], got {self.min_step_factor}")
         if self.max_steps < 0:
             raise ConfigError("max_steps must be non-negative")
-        if self.gradient_tolerance is not None and not (
-            math.isfinite(self.gradient_tolerance) and self.gradient_tolerance >= 0
-        ):
-            raise ConfigError(
-                f"gradient_tolerance must be finite and non-negative, got {self.gradient_tolerance}"
-            )
         if self.record_stride < 1:
             raise ConfigError("record_stride must be at least 1")
 
@@ -265,20 +255,21 @@ def integrate_monotone_path(design, loss: LossModel, control: StepControl | None
     Advances beta by h times the current move direction, recomputing the
     direction each step; the direction has unit coefficient sum, so each
     accepted step adds h of L1 arc length. A step that increases the
-    loss beyond a tiny slack halves h (down to a floor, then the
-    integration aborts with StepSizeError). Stops when the gradient
-    falls under tolerance, the arc budget is reached, or the step budget
-    runs out (flagged truncated).
+    loss beyond a tiny slack halves h (down to STEP_FLOOR times
+    ``control.step``, then the integration aborts with StepSizeError).
+    Stops when the gradient falls under STOP_RTOL x ||response||_2, the
+    arc budget is reached, or the step budget runs out (flagged
+    truncated).
     """
     control = control or StepControl()
     control.validate()
     design = _as_expanded(design)
     y = design.base.y_centered
     loss.validate_response(y)
-    tol = _stop_tolerance(control.gradient_tolerance, y)
+    tol = _stop_tolerance(y)
 
     h = control.step
-    h_floor = control.step * control.min_step_factor
+    h_floor = control.step * STEP_FLOOR
     beta = np.zeros(design.p2)
     eta = np.zeros(design.n)
     current = loss.total(y, eta)
@@ -292,7 +283,7 @@ def integrate_monotone_path(design, loss: LossModel, control: StepControl | None
         if accepted >= control.max_steps:
             truncated = True
             break
-        direction = glm_move_direction(design, beta, loss, zero_tolerance=tol)
+        direction = _glm_direction(design, beta, loss, tol)
         if direction.is_zero:
             break
         step_fit = design.predict(direction.rho)

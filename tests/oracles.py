@@ -265,9 +265,7 @@ def stagewise_reference(design, config, loss=None):
     p = design.p
     y = design.base.y_centered
     eps = config.epsilon
-    tol = config.stop_correlation_tolerance
-    if tol is None:
-        tol = lp.stagewise.STOP_RTOL * float(np.linalg.norm(y))
+    tol = lp.stagewise.STOP_RTOL * float(np.linalg.norm(y))
     squared = loss is None or loss.name == "squared"
     if squared:
         gram = design.base.gram
@@ -363,14 +361,16 @@ def first_crossing(knots, values, value, end_rtol=1e-12):
     return float(knots[-1])
 
 
-def compare_paths_reference(a, b, index_by="norm", grid=512, threshold=1e-8):
+def compare_paths_reference(a, b, index_by="norm", grid=512):
     """Sup difference and first divergence of two paths, one index value at a time.
 
     Returns ``(sup_difference, divergence_index)``: both paths are
     evaluated at the first crossing of every index value of either path
     and of an even grid over the common range; the first value whose
-    difference exceeds ``threshold`` is refined by 60 bisection steps.
+    difference exceeds ``DIVERGENCE_TOLERANCE`` is refined by 60 bisection
+    steps.
     """
+    threshold = lp.diagnostics.DIVERGENCE_TOLERANCE
     ka, va = index_knots(a, index_by)
     kb, vb = index_knots(b, index_by)
     hi = min(va[-1], vb[-1])
@@ -398,11 +398,10 @@ def compare_paths_reference(a, b, index_by="norm", grid=512, threshold=1e-8):
     return float(diffs.max()), divergence
 
 
-def _glm_direction_reference(design, beta, loss, tie_tolerance=lp.lars.TIE_TOLERANCE,
-                             zero_tolerance=None):
+def _glm_direction_reference(design, beta, loss):
     """``glm_move_direction`` with every direction from the weighted NNLS."""
     from l1paths.lars import _as_expanded, _tied_set, _unit_direction
-    from l1paths.stagewise import WEIGHT_FLOOR, _stop_tolerance
+    from l1paths.stagewise import STOP_RTOL, WEIGHT_FLOOR
 
     design = _as_expanded(design)
     beta = np.asarray(beta, dtype=float)
@@ -411,14 +410,14 @@ def _glm_direction_reference(design, beta, loss, tie_tolerance=lp.lars.TIE_TOLER
     u = loss.first(y, eta)
     g = design.correlations(-u)  # negative gradient per mirrored column
     C = float(g.max())
-    if C <= _stop_tolerance(zero_tolerance, y):
+    if C <= STOP_RTOL * float(np.linalg.norm(y)):
         return lp.MoveDirection(np.zeros(design.p2), ())
     w = loss.second(y, eta)
     if np.any(w <= WEIGHT_FLOOR):
         raise lp.CurvatureError(
             "second-derivative weights collapsed to zero; reduce the step size"
         )
-    active = _tied_set(g, C, tie_tolerance)
+    active = _tied_set(g, C)
     Xa = design.columns(active)
     theta = lp.solve_nnls_gram(Xa.T @ (w[:, None] * Xa), g[active])
     return _unit_direction(design.p2, active, theta)
@@ -436,16 +435,15 @@ def integrate_reference(design, loss, control=None):
     """
     from l1paths.lars import _as_expanded
     from l1paths.path import _PathRecorder
-    from l1paths.stagewise import LOSS_INCREASE_SLACK, _stop_tolerance
+    from l1paths.stagewise import LOSS_INCREASE_SLACK, STEP_FLOOR
 
     control = control or lp.StepControl()
     design = _as_expanded(design)
     y = design.base.y_centered
     loss.validate_response(y)
-    tol = _stop_tolerance(control.gradient_tolerance, y)
 
     h = control.step
-    h_floor = control.step * control.min_step_factor
+    h_floor = control.step * STEP_FLOOR
     beta = np.zeros(design.p2)
     eta = np.zeros(design.n)
     current = loss.total(y, eta)
@@ -459,7 +457,7 @@ def integrate_reference(design, loss, control=None):
         if accepted >= control.max_steps:
             truncated = True
             break
-        direction = _glm_direction_reference(design, beta, loss, zero_tolerance=tol)
+        direction = _glm_direction_reference(design, beta, loss)
         if direction.is_zero:
             break
         step_fit = design.predict(direction.rho)

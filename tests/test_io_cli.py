@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,17 @@ class TestCli:
         assert not out.exists()
         assert "steps:" not in stdout
 
+    def test_stagewise_prints_a_warning_as_its_message(self, sine_csv, capsys):
+        # conftest ignores budget warnings; this test shows them. The line
+        # names no source file, so it is the same from any checkout.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("default", category=UserWarning)
+            code, stdout, err = self.run(capsys, "stagewise", "--input", str(sine_csv),
+                                         "--algorithm", "monotone", "--max-iter", "10")
+        assert code == 0
+        assert "steps: 10" in stdout
+        assert err == "warning: stagewise iteration budget exhausted; path is partial\n"
+
     def test_check_monotone_emits_violation_json(self, sine_csv, tmp_path, capsys):
         out = tmp_path / "viol.json"
         code, stdout, _ = self.run(capsys, "check-monotone", "--input", str(sine_csv),
@@ -389,11 +401,12 @@ class TestCli:
         (("--subset=",), 2, "invalid literal for int() with base 10: ''"),
         (("--subset", "0,1", "--signs="), 2, "invalid literal for int() with base 10: ''"),
         (("--signs", "1,-1"), 2, "--signs needs --subset"),
+        (("--subset", "0,1", "--max-subset", "2"), 2, "--max-subset cannot be used with --subset"),
         (("--design-only", "--response-col", "y"), 2,
          "--response-col cannot be used with --design-only"),
     ], ids=["negative_index", "index_past_end", "size_zero", "size_negative", "signs_length",
             "repeated_index", "sign_two", "index_not_int", "empty_index", "empty_subset",
-            "empty_signs", "signs_alone",
+            "empty_signs", "signs_alone", "max_subset_with_subset",
             "response_col_design_only"])
     def test_check_monotone_rejects_bad_subsets(self, sine_csv, capsys, argv, code, message):
         got, stdout, err = self.run(capsys, "check-monotone", "--input", str(sine_csv), *argv)
@@ -410,7 +423,7 @@ class TestCli:
         assert code == 2
         assert err.strip().splitlines()[-1] == (
             "error: 43046720 signed subsets exceed the budget of 10000000; lower "
-            "max_subset_size (--max-subset), or raise check_budget to force the search")
+            "max_subset_size (--max-subset)")
         assert '"passed"' not in stdout
         code, stdout, _ = self.run(capsys, "check-monotone", "--input", str(csv), "--design-only",
                                    "--max-subset", "3")

@@ -112,10 +112,12 @@ class TestExhaustiveCheck:
             assert np.array_equal(reversed_vector, rep.vector[::-1]), seed
 
     def test_budget_guard_refuses_with_count(self):
-        design = orthonormal_design(40, 6, seed=3)
+        design = orthonormal_design(40, 20, seed=3)
         with pytest.raises(CheckBudgetError) as err:
-            exhaustive_check(design, check_budget=100)
-        assert "728" in str(err.value)  # 3^6 - 1 signed subsets
+            exhaustive_check(design)
+        assert str(err.value) == (  # 3^20 - 1 signed subsets
+            "3486784400 signed subsets exceed the budget of 10000000; "
+            "lower max_subset_size (--max-subset)")
 
     @pytest.mark.parametrize("size", [0, -2])
     def test_empty_search_refused(self, size):
@@ -128,26 +130,11 @@ class TestExhaustiveCheck:
             raise AssertionError("the search started a process pool")
 
         monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
-        monkeypatch.setenv("L1PATHS_THREADS", "2")
         design = pc_design_from_counts(range(14, 2, -1), 20)  # 12 knots: C(12, 4) = 495 subsets
         expected = sum(comb(12, k) * 2**k for k in range(1, 5))
         for kwargs in ({"workers": 2}, {}):
             rep = exhaustive_check(design, max_subset_size=4, **kwargs)
             assert (rep.passed, rep.violation, rep.vector, rep.checked) == (True, None, None, expected)
-
-    def test_workers_agree_with_sequential(self):
-        design = standardize(gen_sine(basis="piecewise-linear", seed=0))
-        seq = exhaustive_check(design, workers=1)
-        par = exhaustive_check(design, workers=2)
-        assert seq.passed == par.passed
-        assert seq.violation == par.violation
-
-    def test_worker_count_from_environment(self, monkeypatch):
-        design = standardize(gen_sine(basis="piecewise-linear", seed=0))
-        monkeypatch.setenv("L1PATHS_THREADS", "2")
-        par = exhaustive_check(design)
-        seq = exhaustive_check(design, workers=1)
-        assert par.violation == seq.violation
 
     def test_random_threshold_designs_always_pass(self):
         rng = rng_for(4)
@@ -324,8 +311,6 @@ class TestSearchAgainstOracle:
         monkeypatch.setattr(monotone, "_CHUNK", batch)
         for (name, design), ref in zip(SEARCH_DESIGNS, default):
             assert same_report(exhaustive_check(design), ref), name
-        pooled = exhaustive_check(SEARCH_DESIGNS[-1][1], workers=2)
-        assert same_report(pooled, default[-1])
 
 
 class TestSearchErrors:
