@@ -7,15 +7,9 @@ monotonicity analyzer for designs, and the data generators and
 diagnostics used to benchmark the solvers against each other.
 """
 
+import importlib
+
 from .design import Dataset, ExpandedDesign, StandardizedDesign, standardize
-from .diagnostics import (
-    Curve,
-    PathComparison,
-    compare_paths,
-    holdout_mse,
-    rss_at_index,
-    rss_profile,
-)
 from .errors import (
     CheckBudgetError,
     ConfigError,
@@ -42,33 +36,60 @@ from .lars import (
     solve_path,
 )
 from .linalg import CholeskyFactor, solve_nnls, solve_nnls_gram
-from .losses import LossModel, logistic_loss, squared_error_loss
-from .monotone import (
-    ConditionReport,
-    SearchReport,
-    SignedSubset,
-    check_condition,
-    exhaustive_check,
-    pc_gram,
-    pc_inverse_gram,
-)
 from .path import PathEvent, PiecewiseLinearPath, collapse, expand, l1_norm
-from .simulate import (
-    BlockSpec,
-    analytic_noise_to_signal,
-    gen_block,
-    gen_sine,
-    signal,
-    spline_columns,
-)
-from .stagewise import (
-    StagewiseConfig,
-    StepControl,
-    fs_epsilon,
-    glm_move_direction,
-    integrate_monotone_path,
-    monotone_incremental,
-)
+
+# The exact-path core above loads with the package. The analysis modules
+# load on first use of one of their names (PEP 562), so that a process
+# which only solves or certifies a path does not import them.
+_LAZY_MODULES = {
+    "diagnostics": (
+        "Curve",
+        "PathComparison",
+        "compare_paths",
+        "holdout_mse",
+        "rss_at_index",
+        "rss_profile",
+    ),
+    "losses": ("LossModel", "logistic_loss", "squared_error_loss"),
+    "monotone": (
+        "ConditionReport",
+        "SearchReport",
+        "SignedSubset",
+        "check_condition",
+        "exhaustive_check",
+        "pc_gram",
+        "pc_inverse_gram",
+    ),
+    "simulate": (
+        "BlockSpec",
+        "analytic_noise_to_signal",
+        "gen_block",
+        "gen_sine",
+        "signal",
+        "spline_columns",
+    ),
+    "stagewise": (
+        "StagewiseConfig",
+        "StepControl",
+        "fs_epsilon",
+        "glm_move_direction",
+        "integrate_monotone_path",
+        "monotone_incremental",
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    """Load a lazy name's module (or a lazy module itself) and cache the value."""
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -23,25 +23,18 @@ import numpy as np
 
 from . import io as pio
 from .design import Dataset, standardize
-from .diagnostics import compare_paths, holdout_mse, rss_profile
 from .errors import (
     ConfigError,
     DataError,
     InternalConsistencyError,
     L1PathError,
 )
-from .lars import SolverConfig, kkt_certify, solve_path
-from .losses import logistic_loss, squared_error_loss
-from .monotone import SignedSubset, check_condition, exhaustive_check
+from .lars import SolverConfig, _kkt_report, solve_path
 from .path import collapse
-from .simulate import DEFAULT_KNOTS, gen_block, gen_sine
-from .stagewise import (
-    StagewiseConfig,
-    StepControl,
-    fs_epsilon,
-    integrate_monotone_path,
-    monotone_incremental,
-)
+
+# The analysis modules (diagnostics, losses, monotone, simulate, stagewise)
+# are imported by the handlers that run them, so that ``solve`` and
+# ``certify`` load only the exact-path core.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -193,6 +186,15 @@ def _load_design(cfg, center_response=True):
     return data, standardize(data, center_response=center_response)
 
 
+def _load_design_and_path(cfg):
+    """The standardized ``--input`` and the ``--path`` read against it."""
+    _, design = _load_design(cfg)
+    path = pio.read_path_json(cfg["path"])
+    if path.p != design.p:
+        raise DataError(f"path has {path.p} predictors, the data has {design.p}")
+    return design, path
+
+
 def _write_path(path_obj, cfg, design, metadata):
     out = cfg.get("out")
     if not out:
@@ -231,6 +233,15 @@ def _cmd_stagewise(cfg) -> int:
             raise ConfigError("the signed-coordinate algorithm supports only --loss squared")
         if cfg["sweep"]:
             raise ConfigError("--sweep needs --loss squared")
+    from .losses import logistic_loss, squared_error_loss
+    from .stagewise import (
+        StagewiseConfig,
+        StepControl,
+        fs_epsilon,
+        integrate_monotone_path,
+        monotone_incremental,
+    )
+
     _, design = _load_design(cfg, center_response=loss_name == "squared")
     loss = squared_error_loss() if loss_name == "squared" else logistic_loss()
     sw = StagewiseConfig(epsilon=cfg["epsilon"], max_iterations=cfg["max_iter"],
@@ -261,8 +272,10 @@ def _cmd_stagewise(cfg) -> int:
     return EXIT_OK
 
 
-def _signed_subset(cfg) -> SignedSubset:
+def _signed_subset(cfg):
     """``--subset`` with ``--signs`` (default all +1); a malformed value is a ConfigError."""
+    from .monotone import SignedSubset
+
     try:
         idx = tuple(map(int, cfg["subset"].split(",")))
         signs = (1,) * len(idx)
@@ -281,6 +294,8 @@ def _cmd_check_monotone(cfg) -> int:
         raise ConfigError("--max-subset cannot be used with --subset")
     if cfg["design_only"] and cfg["response_col"] is not None:
         raise ConfigError("--response-col cannot be used with --design-only")
+    from .monotone import check_condition, exhaustive_check
+
     subset = None if cfg["subset"] is None else _signed_subset(cfg)
     if cfg["design_only"]:
         rows = pio.read_dataset_csv(cfg["input"])
@@ -310,6 +325,8 @@ def _cmd_check_monotone(cfg) -> int:
 
 
 def _cmd_simulate(cfg) -> int:
+    from .simulate import DEFAULT_KNOTS, gen_block, gen_sine
+
     _require(cfg, "out")
     rows = {} if cfg["n"] is None else {"n": cfg["n"]}  # else the generator's default
     if cfg["kind"] == "sine":
@@ -335,18 +352,21 @@ def _cmd_simulate(cfg) -> int:
 def _cmd_diagnose(cfg) -> int:
     if not (cfg["rss"] or cfg["compare"] or cfg["mse"]):
         raise ConfigError("one of --rss, --compare or --mse is required")
+    from .diagnostics import compare_paths, holdout_mse, rss_profile
+
     grid = {} if cfg["grid"] is None else {"grid": cfg["grid"]}  # else the routine's default
     if cfg["compare"]:
         _require(cfg, "path", "path_b")
         a = pio.read_path_json(cfg["path"])
         b = pio.read_path_json(cfg["path_b"])
+        if a.p != b.p:
+            raise DataError(f"path has {a.p} predictors, path-b has {b.p}")
         rep = compare_paths(a, b, index_by=cfg["index"], **grid)
         print(json.dumps({"sup_difference": rep.sup_difference, "index_by": rep.index_by,
                           "divergence_index": rep.divergence_index}, sort_keys=True))
         return EXIT_OK
     _require(cfg, "path")
-    _, design = _load_design(cfg)
-    path = pio.read_path_json(cfg["path"])
+    design, path = _load_design_and_path(cfg)
     if cfg["rss"]:
         curve = rss_profile(design, path, index_by=cfg["index"], **grid)
         label = cfg["method_label"] or "rss"
@@ -366,17 +386,18 @@ def _cmd_diagnose(cfg) -> int:
 
 def _cmd_certify(cfg) -> int:
     _require(cfg, "path")
-    _, design = _load_design(cfg)
-    path = pio.read_path_json(cfg["path"])
+    design, path = _load_design_and_path(cfg)
     expanded = design.expanded()
+    y = design.y_centered
+    lam_max = float(np.max(np.abs(design.correlations(y)), initial=0.0))
     vertices = []
     overall = True
     worst = 0.0
     for k in range(len(path.breakpoints)):
         beta = path.vertices[k]
-        r = expanded.base.y_centered - expanded.predict(beta)
-        lam = float(np.max(np.abs(design.correlations(r))))
-        rep = kkt_certify(expanded, beta, lam, tol=cfg["tolerance"])
+        corr = design.correlations(y - expanded.predict(beta))
+        lam = float(np.max(np.abs(corr)))
+        rep = _kkt_report(beta, corr, lam, lam_max, cfg["tolerance"])
         vertices.append({"ell": float(path.breakpoints[k]), "lambda": lam,
                          "passed": rep.passed, "worst_violation": rep.worst_violation})
         overall &= rep.passed

@@ -9,10 +9,12 @@ A path JSON file holds exactly the bytes of
 this layout is a contract, so identical paths give identical files.
 ``write_path_json`` encodes every key but ``vertices`` (which sorts last)
 with the standard library, then writes the vertex matrix one row at a
-time, each row a run encoded by the C JSON encoder with the separators
-that reproduce the indented layout. The pure-Python encoder that any
-``indent`` selects never sees the vertex floats, and the nested list of
-all of them is never built.
+time. A row starts as the text of an all-zero row of its width, in which
+entry j is ``0.0`` at offset 5 + 8j; the entries that are not ``0.0``
+(nonzero, -0.0, NaN and infinities) are encoded, all in one call, by the
+C JSON encoder and spliced in at their offsets. The pure-Python encoder
+that any ``indent`` selects never sees the vertex floats, the nested list
+of all of them is never built, and a row costs its nonzero entries.
 """
 
 from __future__ import annotations
@@ -20,13 +22,16 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .design import Dataset, StandardizedDesign
-from .diagnostics import Curve
 from .errors import DataError
 from .path import PathEvent, PiecewiseLinearPath, collapse
+
+if TYPE_CHECKING:
+    from .diagnostics import Curve
 
 SCHEMA_VERSION = 1
 
@@ -35,9 +40,10 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _rows(source) -> list[list[str]]:
-    text = Path(source).read_text()
-    return [row for row in csv.reader(text.splitlines()) if row]
+def _rows(source) -> list[tuple[int, list[str]]]:
+    """The non-blank rows of a CSV file, each with the number of its (last) line."""
+    reader = csv.reader(Path(source).read_text().splitlines())
+    return [(reader.line_num, row) for row in reader if row]
 
 
 def read_dataset_csv(source, response=None) -> Dataset:
@@ -45,31 +51,31 @@ def read_dataset_csv(source, response=None) -> Dataset:
 
     The last column is the response unless ``response`` names (or
     0-based-indexes) another. A first row that does not parse as numbers
-    is a header.
+    is a header. An error names the line of the file it is on.
     """
     rows = _rows(source)
     if not rows:
         raise DataError("empty CSV file")
     names = None
     try:
-        [float(v) for v in rows[0]]
+        list(map(float, rows[0][1]))
         header = False
     except ValueError:
         header = True
     if header:
-        names = [v.strip() for v in rows[0]]
+        names = [v.strip() for v in rows[0][1]]
         rows = rows[1:]
         if not rows:
             raise DataError("CSV has a header but no data rows")
-    width = len(rows[0])
+    width = len(rows[0][1])
     data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
+    for i, (line, row) in enumerate(rows):
         if len(row) != width:
-            raise DataError(f"line {i + 2 if header else i + 1}: expected {width} fields, got {len(row)}")
+            raise DataError(f"line {line}: expected {width} fields, got {len(row)}")
         try:
-            data[i] = [float(v) for v in row]
+            data[i] = list(map(float, row))
         except ValueError as exc:
-            raise DataError(f"line {i + 2 if header else i + 1}: {exc}") from None
+            raise DataError(f"line {line}: {exc}") from None
     if response is None:
         col = width - 1
     elif isinstance(response, int) or (isinstance(response, str) and response.lstrip("-").isdigit()):
@@ -118,35 +124,73 @@ def path_to_dict(path: PiecewiseLinearPath, metadata: dict | None = None) -> dic
     return {**_path_header(path, metadata), "vertices": path.vertices.tolist()}
 
 
+_PATH_KEYS = ("breakpoints", "vertices", "segment_active_sets", "parametrization")
+_EVENT_KEYS = ("kind", "index", "gamma", "ell")
+
+
 def path_from_dict(doc: dict) -> PiecewiseLinearPath:
+    """The path a path document describes; DataError names what is missing or malformed."""
+    if not isinstance(doc, dict):
+        raise DataError(f"path JSON must hold an object, not {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"unsupported path schema version {doc.get('schema_version')}")
-    return PiecewiseLinearPath(
-        breakpoints=np.array(doc["breakpoints"], dtype=float),
-        vertices=np.array(doc["vertices"], dtype=float),
-        segment_active_sets=[tuple(s) for s in doc["segment_active_sets"]],
-        parametrization=doc["parametrization"],
-        events=[PathEvent(**e) for e in doc.get("events", [])],
-        feature_names=doc.get("feature_names"),
-        truncated=bool(doc.get("truncated", False)),
-    )
+    for key in _PATH_KEYS:
+        if key not in doc:
+            raise DataError(f"path JSON has no {key!r}")
+    events = doc.get("events", [])
+    for k, e in enumerate(events):
+        if not (isinstance(e, dict) and e.keys() == set(_EVENT_KEYS)):
+            raise DataError(f"path event {k} must have exactly the keys "
+                            f"{', '.join(_EVENT_KEYS)}, got {json.dumps(e)}")
+    try:
+        return PiecewiseLinearPath(
+            breakpoints=np.array(doc["breakpoints"], dtype=float),
+            vertices=np.array(doc["vertices"], dtype=float),
+            segment_active_sets=[tuple(s) for s in doc["segment_active_sets"]],
+            parametrization=doc["parametrization"],
+            events=[PathEvent(**e) for e in events],
+            feature_names=doc.get("feature_names"),
+            truncated=bool(doc.get("truncated", False)),
+        )
+    except TypeError as exc:  # an entry of the wrong JSON type
+        raise DataError(f"malformed path JSON: {exc}") from None
 
 
 # Without ``indent`` the stdlib uses its C encoder; these separators put each
 # float of a vertex row on its own line at depth 3 of the indent-1 layout.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n   ", ": "))
+_ROW_SEP = ",\n   "
+_ROW_ENCODER = json.JSONEncoder(separators=(_ROW_SEP, ": "))
 
 
-def _vertex_row(row: np.ndarray) -> str:
-    text = _ROW_ENCODER.encode(row.tolist())
-    return "[\n   " + text[1:-1] + "\n  ]" if row.size else text
+def _vertex_rows(vertices: np.ndarray):
+    """The text of each vertex row, as ``json.dumps(..., indent=1)`` lays it out.
+
+    Each row is the all-zero row's text with the entries that are not
+    ``0.0`` spliced in at offset 5 + 8j (see the module docstring).
+    """
+    width = vertices.shape[1]
+    zero = "[\n   " + _ROW_SEP.join(["0.0"] * width) + "\n  ]" if width else "[]"
+    rows, cols = ((vertices != 0.0) | np.signbit(vertices)).nonzero()
+    texts = _ROW_ENCODER.encode(vertices[rows, cols].tolist())[1:-1].split(_ROW_SEP)
+    ends = np.searchsorted(rows, np.arange(1, len(vertices) + 1)).tolist()
+    cols = cols.tolist()
+    start = 0
+    for end in ends:
+        parts, at = [], 0
+        for k in range(start, end):
+            offset = 5 + 8 * cols[k]
+            parts += (zero[at:offset], texts[k])
+            at = offset + 3
+        parts.append(zero[at:])
+        yield "".join(parts)
+        start = end
 
 
 def write_path_json(path: PiecewiseLinearPath, target, metadata: dict | None = None) -> None:
     """Write ``json.dumps(path_to_dict(path, metadata), sort_keys=True, indent=1) + "\n"``.
 
     The header goes through ``json.dumps``; the vertex rows follow it,
-    streamed one C-encoded row at a time (see the module docstring).
+    each spliced into the text of an all-zero row (see the module docstring).
     """
     header = _path_header(path, metadata)
     assert all(key < "vertices" for key in header), "vertices must sort last"
@@ -157,8 +201,8 @@ def write_path_json(path: PiecewiseLinearPath, target, metadata: dict | None = N
             out.write("[]\n}\n")
             return
         sep = "[\n  "
-        for row in path.vertices:
-            out.write(sep + _vertex_row(row))
+        for row in _vertex_rows(path.vertices):
+            out.write(sep + row)
             sep = ",\n  "
         out.write("\n ]\n}\n")
 
@@ -214,7 +258,7 @@ def write_vector_csv(values: np.ndarray, target, names=None) -> None:
 
 
 def read_vector_csv(source) -> np.ndarray:
-    rows = _rows(source)
+    rows = [row for _, row in _rows(source)]
     if rows and rows[0] == ["coordinate", "value"]:
         rows = rows[1:]
     try:

@@ -516,16 +516,23 @@ def kkt_certify(design, beta: np.ndarray, lam: float, tol: float = 1e-8) -> KKTR
     (lasso or monotone paths; a LAR path past a sign change is not a
     certifiable point). ``tol`` must be finite and non-negative.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ConfigError(f"tolerance must be finite and non-negative, got {tol}")
     design = _as_expanded(design)
     beta = np.asarray(beta, dtype=float)
+    y = design.base.y_centered
+    corr = design.base.correlations(y - design.predict(beta))
+    lam_max = float(np.max(np.abs(design.base.correlations(y)), initial=0.0))
+    return _kkt_report(beta, corr, lam, lam_max, tol)
+
+
+def _kkt_report(beta: np.ndarray, corr: np.ndarray, lam: float, lam_max: float,
+                tol: float) -> KKTReport:
+    """``kkt_certify``'s report from the correlations ``corr`` = X'(y - X beta)
+    and lambda_max = max|X'y|, for a caller that has them in hand."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tolerance must be finite and non-negative, got {tol}")
     if beta.min() < -KKT_NEGATIVE_RTOL * np.abs(beta).max():
         raise ValueError("certificate needs non-negative mirrored coefficients")
-    p = design.p
-    y = design.base.y_centered
-    r = y - design.predict(beta)
-    corr = design.base.correlations(r)
+    p = len(corr)
     bound_excess = np.abs(corr) - lam
     pos, neg = beta[:p], beta[p:]
     support_gap = np.zeros(p)
@@ -540,7 +547,6 @@ def kkt_certify(design, beta: np.ndarray, lam: float, tol: float = 1e-8) -> KKTR
         float(np.max(pair_overlap, initial=0.0)),
         0.0,
     )
-    lam_max = float(np.max(np.abs(design.base.correlations(y)), initial=0.0))
     tolerance = tol * max(abs(lam), KKT_FLOOR_RTOL * lam_max)
     return KKTReport(
         lam=lam,

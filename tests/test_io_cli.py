@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import l1paths as lp
 from l1paths import SolverConfig, collapse, gen_sine, solve_path
@@ -64,6 +66,18 @@ class TestDatasetCsv:
         with pytest.raises(lp.DataError, match="line 2"):
             pio.read_dataset_csv(target)
 
+    def test_blank_line_before_malformed_cell_counts(self, tmp_path):
+        target = tmp_path / "bad.csv"
+        target.write_text("a,b,y\n1,2,3\n\n4,oops,6\n")
+        with pytest.raises(lp.DataError, match="^line 4: could not convert string to float: 'oops'$"):
+            pio.read_dataset_csv(target)
+
+    def test_blank_line_before_ragged_row_counts(self, tmp_path):
+        target = tmp_path / "ragged.csv"
+        target.write_text("1,2,3\n\n4,5\n")
+        with pytest.raises(lp.DataError, match="^line 3: expected 3 fields, got 2$"):
+            pio.read_dataset_csv(target)
+
 
 class TestPathSerialization:
     def test_json_roundtrip_bit_for_bit(self, tmp_path):
@@ -114,6 +128,31 @@ class TestPathSerialization:
 
 def stdlib_path_json(path, metadata=None):
     return json.dumps(pio.path_to_dict(path, metadata), sort_keys=True, indent=1) + "\n"
+
+
+# Entries whose text is not a plain shortest repr of a normal float.
+SPECIAL_ENTRIES = (-0.0, 5e-324, 1e300, -1e300, float("nan"), float("inf"), -float("inf"))
+
+
+@st.composite
+def sparse_vertices(draw):
+    """A vertex matrix of 1-6 rows and 2-64 columns at a drawn density of
+    entries that are not 0.0, a fifth of them from SPECIAL_ENTRIES, with an
+    all-zero row and a nonzero first or last column when drawn so."""
+    rng = rng_for(draw(st.integers(0, 2**20)))
+    shape = (draw(st.integers(1, 6)), 2 * draw(st.integers(1, 32)))
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    special = rng.choice(SPECIAL_ENTRIES, size=shape)
+    values = np.where(rng.random(shape) < 0.2, special, values)
+    V = np.where(rng.random(shape) < draw(st.floats(0.0, 1.0)), values, 0.0)
+    row = rng.integers(shape[0])
+    if draw(st.booleans()):
+        V[row, 0] = values[row, 0] or 1.5
+    if draw(st.booleans()):
+        V[row, -1] = values[row, -1] or -2.5
+    if draw(st.booleans()):
+        V[rng.integers(shape[0])] = 0.0
+    return V
 
 
 class TestPathJsonBytes:
@@ -172,6 +211,16 @@ class TestPathJsonBytes:
             breakpoints=[0.0, 1.0],
             vertices=[[0.0, -0.0, 5e-324, 1e300], [float("nan"), float("inf"), -float("inf"), 0.1]],
             segment_active_sets=[(0,)], parametrization="l1_norm")
+        self.assert_stdlib_bytes(path, tmp_path / "p.json")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(vertices=sparse_vertices())
+    def test_sparse_vertex_matrices(self, vertices, tmp_path):
+        path = lp.PiecewiseLinearPath(breakpoints=np.arange(float(len(vertices))),
+                                      vertices=vertices,
+                                      segment_active_sets=[()] * (len(vertices) - 1),
+                                      parametrization="l1_norm")
         self.assert_stdlib_bytes(path, tmp_path / "p.json")
 
     @pytest.mark.parametrize("shape", [(0, 4), (2, 0)], ids=["no_vertices", "no_coordinates"])
@@ -702,6 +751,62 @@ class TestCli:
             f"error: tolerance must be finite and non-negative, got {float(tolerance)}")
         assert '"passed"' not in stdout
 
+    @pytest.mark.parametrize("mode", ["lasso", "fs0"])
+    @pytest.mark.parametrize("name", ["sine", "block"])
+    def test_certify_equals_a_kkt_certify_loop(self, name, mode, tmp_path, capsys):
+        """certify's report is kkt_certify's at every vertex, at the vertex's own lambda."""
+        data = gen_sine(seed=0) if name == "sine" else lp.gen_block(n=30, p=100, seed=0)[0]
+        csv, out = tmp_path / "d.csv", tmp_path / "p.json"
+        pio.write_dataset_csv(data, csv)
+        self.run(capsys, "solve", "--input", str(csv), "--method", mode, "--out", str(out))
+        code, stdout, _ = self.run(capsys, "certify", "--input", str(csv), "--path", str(out))
+        assert code == 0
+        ed = lp.standardize(pio.read_dataset_csv(csv)).expanded()
+        path = pio.read_path_json(out)
+        vertices = []
+        for ell, beta in zip(path.breakpoints, path.vertices):
+            r = ed.base.y_centered - ed.predict(beta)
+            lam = float(np.max(np.abs(ed.base.correlations(r))))
+            rep = lp.kkt_certify(ed, beta, lam)
+            vertices.append({"ell": float(ell), "lambda": lam, "passed": rep.passed,
+                             "worst_violation": rep.worst_violation})
+        expected = {"passed": all(v["passed"] for v in vertices),
+                    "worst_violation": max(v["worst_violation"] for v in vertices),
+                    "vertices": vertices}
+        assert stdout.splitlines()[-1] == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("command, content, message", [
+        ("certify", '{"schema_version": 1}', "path JSON has no 'breakpoints'"),
+        ("certify", "[1, 2]", "path JSON must hold an object, not list"),
+        ("compare", "event without index", "path event 0 must have exactly the keys "
+                                           'kind, index, gamma, ell, got {"kind": "join"}'),
+        ("certify", "5 predictors", "path has 5 predictors, the data has 10"),
+        ("rss", "5 predictors", "path has 5 predictors, the data has 10"),
+        ("compare", "5 predictors", "path has 5 predictors, path-b has 10"),
+    ], ids=["no_breakpoints", "not_an_object", "event_keys", "certify_width", "rss_width",
+            "compare_width"])
+    def test_malformed_path_file_is_a_data_error(self, sine_csv, tmp_path, capsys,
+                                                 command, content, message):
+        target, sine_path = tmp_path / "p.json", tmp_path / "sine.json"
+        if content in ("event without index", "5 predictors"):
+            _, path = solved_path()  # 5 predictors; the sine data has 10
+            pio.write_path_json(path, target)
+            if content == "event without index":
+                doc = json.loads(target.read_text())
+                doc["events"][0] = {"kind": "join"}
+                target.write_text(json.dumps(doc))
+        else:
+            target.write_text(content)
+        argv = {
+            "certify": ["certify", "--input", str(sine_csv), "--path", str(target)],
+            "rss": ["diagnose", "--rss", "--input", str(sine_csv), "--path", str(target)],
+            "compare": ["diagnose", "--compare", "--path", str(target), "--path-b", str(sine_path)],
+        }[command]
+        if command == "compare":
+            pio.write_path_json(solve_path(lp.standardize(gen_sine(seed=0)).expanded()), sine_path)
+        code, _, err = self.run(capsys, *argv)
+        assert (code, err) == (3, f"error: {message}\n")
+
     def test_certify_rejects_signed_path(self, sine_csv, tmp_path, capsys):
         out = tmp_path / "lar.json"
         self.run(capsys, "solve", "--input", str(sine_csv), "--method", "lar",
@@ -770,6 +875,32 @@ def test_typed_option_walk(command, flag, value, walk_files, tmp_path, capsys):
         code = exc.code
     capsys.readouterr()
     assert code == (0 if (command, flag, value) in VALID_VALUES else 2)
+
+
+def test_solve_and_certify_load_only_the_core(tmp_path):
+    """A solve and a certify import 8 of the package's 13 modules; the other
+    five still load on first use of their names, so ``import *`` binds all."""
+    csv, out = tmp_path / "sine.csv", tmp_path / "p.json"
+    pio.write_dataset_csv(gen_sine(n=40, seed=0), csv)
+    src = str(Path(lp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import contextlib, io, sys, l1paths.cli\n"
+        "csv, out = sys.argv[1:]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert l1paths.cli.main(['solve', '--input', csv, '--out', out]) == 0\n"
+        "    assert l1paths.cli.main(['certify', '--input', csv, '--path', out]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'l1paths'))\n"
+        "names = {}\n"
+        "exec('from l1paths import *', names)\n"
+        "print(sorted(set(names) - {'__builtins__'}) == sorted(l1paths.__all__), len(l1paths.__all__))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code, str(csv), str(out)], env=env,
+                            capture_output=True, text=True, check=True, timeout=60)
+    modules, names = result.stdout.splitlines()
+    assert modules == str([f"l1paths{m}" for m in (
+        "", ".cli", ".design", ".errors", ".io", ".lars", ".linalg", ".path")])
+    assert names == "True 61"
 
 
 def test_import_loads_no_scipy():
