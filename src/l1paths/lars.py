@@ -228,8 +228,10 @@ def _scan_events(design, beta, r, r_floor, c, C, rho, scannable, mode, stop_stat
     column, which would tie exactly at the least-squares point. Where
     the least-squares point leaves a residual of at most ``r_floor`` (a
     zero-residual fit, p >= n), every column catches up there; a catch-up
-    within TIE_TOLERANCE of it is then a join at that point, so neither
-    the label nor the step depends on rounding.
+    within TIE_TOLERANCE of it is then a join at that point. So the kind
+    of the path's last event does not depend on rounding, but its index
+    and step can: a column whose catch-up rounds to just outside the tie
+    band ends the path at its own step, as its only catcher.
 
     Returns (gamma, kind, indices, v, d, Delta).
     """

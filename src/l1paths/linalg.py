@@ -1,23 +1,27 @@
 """Dense least-squares kernels, all in Gram space (G = A.T A, c = A.T b), in numpy.
 
-One factor serves every solve: ``CholeskyFactor`` keeps L with L L^T = G,
-its inverse T = L^-1 and G itself, for columns that join one at a time.
-An append is one matvec with T plus a new row of L, of T and of G,
-written into buffers with room to grow that the factors of one growing
-column sequence share (``_Rows``), with its pivot arithmetic on Python
-floats; the Gram solve is two matvecs with T.
+One factor serves every solve: ``CholeskyFactor`` keeps only the inverse
+factor T = L^-1 of the Cholesky factor L of G (L L^T = G), for columns
+that join one at a time. An append is one matvec with T plus a new row
+of T, written into a buffer with room to grow that the factors of one
+growing column sequence share (``_Rows``), with its pivot arithmetic on
+Python floats; the Gram solve is two matvecs with T.
 Vector products use ``ndarray.dot``, the same BLAS call as ``@`` without
-the ufunc dispatch that costs about a microsecond at these sizes. A drop keeps
-the leading block of L and T (the columns before the first one dropped)
-and refactors the survivors after it from their Schur complement
-``G33 - L31 L31^T``: G33 is read from the kept G and L31 from their rows
-of L, so the refactor is one ``np.linalg.cholesky`` and one
-``np.linalg.inv`` of the new triangular tail, and several drops cost one
-refactor. Lawson-Hanson non-negative least squares runs on such a factor
-and can continue from the one its last call left. One relative pivot
-rule, ``_independent`` with ``PIVOT_RTOL``, makes every rank decision: an
-append raises, NNLS skips the column. Forming G squares the condition
-number of A. Factors are immutable; update operations return new factors.
+the ufunc dispatch that costs about a microsecond at these sizes. A drop
+keeps the rows of T before the dropped position and updates the rows
+after it in closed form: removing a column turns the trailing block of
+L into L33 K with K K^T = I + a a^T, so their rows of T are multiplied
+by K^-1, which is a diagonal less a strictly lower rank-one part and is
+applied with two cumulative sums and no LAPACK call (Gill, Golub, Murray
+& Saunders 1974). Several drops run one at a time, highest position
+first. The update carries the rounding of the factor it updates, so a
+solve after a drop is as accurate as the condition of the Gram before
+the drop allows, not that of the kept columns. Lawson-Hanson
+non-negative least squares runs on such a factor and can continue from
+the one its last call left. One relative pivot rule, ``_independent``
+with ``PIVOT_RTOL``, makes every rank decision: an append raises, NNLS
+skips the column. Forming G squares the condition number of A. Factors
+are immutable; update operations return new factors.
 """
 
 from __future__ import annotations
@@ -50,30 +54,29 @@ def _independent(d2, max_diag):
     return (d2 > PIVOT_RTOL * max_diag) & (d2 < math.inf)
 
 
-# Appends that fit in new factor buffers beyond the one that made them. fs0
+# Appends that fit in a new factor buffer beyond the one that made it. fs0
 # on wide designs drops a column about every segment and each drop starts
-# new buffers, so more room is zeroed for nothing: on the 60 x 1000 block
+# a new buffer, so more room is zeroed for nothing: on the 60 x 1000 block
 # design, buffers of doubling size made an fs0 segment about 15% slower.
 _ROOM = 8
 
 
 class _Rows:
-    """Square buffers that factors grown one column at a time share.
+    """A square buffer of T that factors grown one column at a time share.
 
-    A factor of size k is the leading k by k block of L, T and G. Only the
-    factor of size ``size`` writes the next row; any other factor on the
-    buffers copies them before it appends, so a factor's block never changes.
+    A factor of size k is the leading k by k block of T. Only the factor
+    of size ``size`` writes the next row; any other factor on the buffer
+    copies it before it appends, so a factor's block never changes.
     """
 
-    __slots__ = ("L", "T", "G", "views", "size")
+    __slots__ = ("T", "view", "size")
 
-    def __init__(self, factor: "CholeskyFactor"):
-        k = factor.size
+    def __init__(self, T: np.ndarray):
+        k = T.shape[0]
         capacity = k + 1 + _ROOM
-        self.L, self.T, self.G = (np.zeros((capacity, capacity)) for _ in range(3))
-        self.L[:k, :k], self.T[:k, :k], self.G[:k, :k] = factor._L, factor._T, factor._G
-        # Read-only views, whose blocks the factors on the buffers hold.
-        self.views = tuple(_frozen(M.view()) for M in (self.L, self.T, self.G))
+        self.T = np.zeros((capacity, capacity))
+        self.T[:k, :k] = T
+        self.view = _frozen(self.T.view())  # read-only; the factors hold its blocks
         self.size = k
 
 
@@ -82,29 +85,58 @@ def _frozen(M):
     return M
 
 
-class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to a Gram block G.
+def _drop_position(T: np.ndarray, q: int) -> np.ndarray:
+    """The inverse factor of the Gram of T = L^-1 without position q.
 
-    The factor keeps T = L^-1 and G beside L, and tracks the largest Gram
-    diagonal it has seen so that the rank check stays relative to the
-    scale of the problem. G is kept for drops: ``drop_columns`` keeps L and
-    T up to the first dropped column and refactors the survivors after it
-    from their block of G less the part their rows of L already account for.
-    An append writes one row into buffers with room to grow (``_Rows``).
+    With a = -T[q+1:, q] / T[q, q], which equals T33 L[q+1:, q], the
+    survivors' trailing factor is L33 K with K K^T = I + a a^T. For
+    sigma_0 = 1, sigma_i = sigma_{i-1} + a_i^2 and
+    b_i = a_i / sqrt(sigma_i sigma_{i-1}),
+    K^-1 = diag(sqrt(sigma_{i-1} / sigma_i)) - tril(b a^T, -1) and
+    K^-1 a = b, so the rows R of T after q become K^-1 R + b T[q], which is
+    zero in column q. Row i is sqrt(sigma_{i-1} / sigma_i) R_i less b_i
+    times the sum of a_j R_j over j < i and of -T[q]: a cumulative sum
+    over the rows of T from q on, with weights -T[q:, q] / T[q, q] (the
+    first is -1, so the same weights squared sum to sigma). Rows before q
+    are kept. Every entry above the diagonal is a sum of exact zeros, so
+    the result is exactly lower triangular, and its diagonal is positive.
+    """
+    k = T.shape[0]
+    out = np.zeros((k - 1, k - 1))
+    out[:q, :q] = T[:q, :q]
+    if q == k - 1:
+        return out
+    weights = T[q:, q] / -T[q, q]
+    sigma = (weights * weights).cumsum()
+    b = weights[1:] / np.sqrt(sigma[:-1] * sigma[1:])
+    above = (weights[:-1, None] * T[q:-1]).cumsum(0)
+    R = T[q + 1:] * np.sqrt(sigma[:-1] / sigma[1:])[:, None] - b[:, None] * above
+    out[q:, :q] = R[:, :q]
+    out[q:, q:] = R[:, q + 1:]
+    return out
+
+
+class CholeskyFactor:
+    """The inverse T = L^-1 of a lower-triangular L with L @ L.T equal to a Gram block.
+
+    The factor tracks the largest Gram diagonal it has seen, so that the
+    rank check stays relative to the scale of the problem. An append
+    writes one row of T into a buffer with room to grow (``_Rows``); a
+    drop updates the rows of T after the dropped position in closed form
+    (``_drop_position``).
     """
 
-    __slots__ = ("_L", "_T", "_G", "_max_diag", "_rows")
+    __slots__ = ("_T", "_max_diag", "_rows")
 
-    def __init__(self, L: np.ndarray, T: np.ndarray, G: np.ndarray, max_diag: float,
-                 rows: _Rows | None = None):
-        """L, T and G are read-only; ``rows`` holds them when an append made them."""
-        self._L, self._T, self._G = L, T, G
+    def __init__(self, T: np.ndarray, max_diag: float, rows: _Rows | None = None):
+        """T is read-only; ``rows`` holds it when an append made it."""
+        self._T = T
         self._max_diag = float(max_diag)
         self._rows = rows
 
     @classmethod
     def empty(cls) -> "CholeskyFactor":
-        return cls(*(_frozen(np.zeros((0, 0))) for _ in range(3)), 0.0)
+        return cls(_frozen(np.zeros((0, 0))), 0.0)
 
     @classmethod
     def from_gram(cls, gram: np.ndarray) -> "CholeskyFactor":
@@ -117,20 +149,12 @@ class CholeskyFactor:
 
     @property
     def size(self) -> int:
-        return self._L.shape[0]
-
-    @property
-    def L(self) -> np.ndarray:
-        return self._L
+        return self._T.shape[0]
 
     @property
     def T(self) -> np.ndarray:
         """The inverse factor L^-1."""
         return self._T
-
-    def gram(self) -> np.ndarray:
-        """Reconstruct the Gram matrix this factor represents."""
-        return self._L @ self._L.T
 
     def append_column(self, gram_row: np.ndarray) -> "CholeskyFactor":
         """Return the factor of the Gram augmented with one column.
@@ -155,18 +179,13 @@ class CholeskyFactor:
             raise DegenerateDesignError(column=k)
         pivot = math.sqrt(d2)
         rows = self._rows
-        if rows is None or rows.size != k or k == rows.L.shape[0]:
-            rows = _Rows(self)
-        L, T, G = rows.L, rows.T, rows.G
-        L[k, :k] = w
-        L[k, k] = pivot
+        if rows is None or rows.size != k or k == rows.T.shape[0]:
+            rows = _Rows(self._T)
+        T = rows.T
         T[k, :k] = w.dot(self._T) / -pivot
         T[k, k] = 1.0 / pivot
-        G[k, :k] = G[:k, k] = g
-        G[k, k] = diag
         rows.size = k = k + 1
-        L, T, G = rows.views
-        return CholeskyFactor(L[:k, :k], T[:k, :k], G[:k, :k], max_diag, rows)
+        return CholeskyFactor(rows.view[:k, :k], max_diag, rows)
 
     def drop_column(self, index: int) -> "CholeskyFactor":
         """Return the factor of the Gram with one variable removed."""
@@ -175,37 +194,17 @@ class CholeskyFactor:
     def drop_columns(self, indices) -> "CholeskyFactor":
         """Return the factor of the Gram with the variables at ``indices`` removed.
 
-        The block before the first dropped column stays. The survivors
-        after it are refactored from their Schur complement
-        ``G33 - L31 L31^T``, which their Gram block ``G33`` and their rows
-        ``L31`` of the kept block give without the dropped columns.
+        Each position is removed by ``_drop_position``, the highest first,
+        so the positions still to go keep their indices.
         """
         k = self.size
-        indices = np.asarray(indices, dtype=int)
-        if indices.size and not (0 <= indices.min() and indices.max() < k):
+        positions = sorted(set(np.asarray(indices, dtype=int).tolist()), reverse=True)
+        if positions and (positions[-1] < 0 or positions[0] >= k):
             raise IndexError(indices)
-        keep = np.ones(k, dtype=bool)
-        keep[indices] = False
-        kept = np.flatnonzero(keep)
-        first = int(indices.min()) if indices.size else k
-        G = _frozen(self._G.take(kept, 0).take(kept, 1))
-        if first == kept.size:
-            return CholeskyFactor(self._L[:first, :first], self._T[:first, :first], G,
-                                  self._max_diag)
-        L = self._L.take(kept, 0).take(kept, 1)  # its last block is replaced below
-        L31 = L[first:, :first]
-        try:
-            L33 = np.linalg.cholesky(G[first:, first:] - L31 @ L31.T)
-        except np.linalg.LinAlgError:
-            raise DegenerateDesignError(column=int(kept[first])) from None
-        # Inverting the upper triangular L33^T needs no row exchange, so the
-        # inverse is exactly triangular.
-        T33 = np.linalg.inv(L33.T).T
-        L[first:, first:] = L33
-        T = np.zeros_like(L)
-        T[:first, :first] = T11 = self._T[:first, :first]
-        T[first:, :first], T[first:, first:] = -T33 @ (L31 @ T11), T33
-        return CholeskyFactor(_frozen(L), _frozen(T), G, self._max_diag)
+        T = self._T
+        for q in positions:
+            T = _drop_position(T, q)
+        return CholeskyFactor(_frozen(T), self._max_diag)
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (L L^T) x = rhs for a vector rhs: x = T^T (T rhs)."""
