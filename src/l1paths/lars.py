@@ -379,7 +379,9 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
                 shadowed = None
         if kind == EVENT_DROP:
             keep = active != index
-            factor, active = factor.drop_column(int(keep.argmin())), active[keep]
+            factor = factor.drop_column(
+                int(keep.argmin()), lambda rows, cols: design.gram_entries(active[rows], active[cols]))
+            active = active[keep]
             shadowed = None
         elif kind == EVENT_JOIN:
             if mode == "fs0":
