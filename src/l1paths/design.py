@@ -9,6 +9,7 @@ is spent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,12 @@ from .errors import DataError, ZeroVarianceError
 # verdict does not depend on the units X is measured in, and exact for
 # constant columns of any size, zero included.
 ZERO_VARIANCE_RTOL = 1e-12
+# The engine forms decay rates from the Gram only when every pivot of the
+# Gram's Cholesky factor keeps at least this fraction of its column's squared
+# norm (L_kk^2 / G_kk). On near-dependent designs (the sine hinge basis, a
+# correlated 45 x 40 Gaussian) Gram-formed rates, even corrected for the
+# Gram's rounding, moved the vertices further from an exact replay than X.
+GRAM_PIVOT_FLOOR = 1 / 16
 
 
 @dataclass
@@ -67,7 +74,9 @@ class StandardizedDesign:
 
     ``gram`` is X'X of the standardized columns, the one Gram every solver
     reads. ``standardize`` returns ``Xs`` read-only, so that the Gram,
-    formed on first use, cannot go stale.
+    formed on first use, cannot go stale; ``gram_decays``, decided once
+    beside it, says whether the engine's decay rates may come from it, and
+    ``gram_rounding`` holds what its rounding left out.
     """
 
     Xs: np.ndarray
@@ -91,6 +100,57 @@ class StandardizedDesign:
         gram = self.Xs.T @ self.Xs
         gram.flags.writeable = False
         return gram
+
+    @cached_property
+    def gram_decays(self) -> bool:
+        """Whether decay rates X'X rho may be formed from ``gram``.
+
+        Only on a tall, well-conditioned design: n >= p + 2, so the path ends
+        at the least-squares fit and not at a zero residual, and the Gram has
+        a Cholesky factor whose smallest pivot ratio L_kk^2 / G_kk is at least
+        GRAM_PIVOT_FLOOR. Decided on first use, at one factorization.
+        """
+        if self.n < self.p + 2:
+            return False
+        gram = self.gram
+        try:
+            L = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
+        return bool((np.diagonal(L) ** 2 / np.diagonal(gram)).min() >= GRAM_PIVOT_FLOOR)
+
+    @cached_property
+    def gram_rounding(self) -> np.ndarray:
+        """X'X - ``gram``, the rounding error of the stored Gram, formed on
+        first use with an error about 2^-k of its own size.
+
+        Each column is scaled by a power of two to |x| < 1 and cut into a
+        head on a fixed grid of 2^-k and an exact tail, with 2k bits plus
+        log2(n) at most 53 (k = 21 at n = 600): every partial sum of head
+        products is then a double, so BLAS forms the heads' Gram exactly in
+        any order (Ozaki et al. 2012). The products with the tail are 2^-k
+        smaller, so their rounding is too.
+        """
+        X, n = self.Xs, self.n
+        k = (53 - math.ceil(math.log2(n))) // 2
+        scale = np.ldexp(1.0, np.frexp(np.abs(X).max(axis=0))[1])
+        tail = X / scale
+        grid = 1.5 * 2.0 ** (52 - k)  # adding and removing it rounds to 2^-k
+        head = tail + grid
+        head -= grid
+        tail -= head
+        pairs = np.outer(scale, scale)
+        rounding = head.T @ head - self.gram / pairs
+        # The rest of X'X is A + A' with A = tail'(head + tail / 2), whose
+        # rounding is 2^-k below that of X'X; formed in place, as twice
+        # (tail / 2)'(head + tail / 2), to hold two n x p arrays at most.
+        tail *= 0.5
+        head += tail
+        half = tail.T @ head
+        rounding += 2.0 * (half + half.T)
+        rounding *= pairs
+        rounding.flags.writeable = False
+        return rounding
 
     def correlations(self, r: np.ndarray) -> np.ndarray:
         """Inner products of every standardized column with r."""
@@ -199,6 +259,23 @@ class ExpandedDesign:
         """Fitted values for an expanded coefficient vector."""
         p = self.p
         return self.base.Xs.dot(beta[:p] - beta[p:])
+
+    def decay_rates(self, rho: np.ndarray) -> np.ndarray:
+        """X'X rho over all 2p signed columns (exact mirror): the rate at
+        which each correlation with the residual falls along the move rho.
+
+        Where the base design's ``gram_decays`` holds, two p x p products:
+        its ``gram`` and, so that the Gram's rounding does not move the path,
+        its ``gram_rounding``. Elsewhere the two n x p products X'(X rho).
+        """
+        base = self.base
+        if base.gram_decays:
+            p = self.p
+            move = rho[:p] - rho[p:]
+            d = base.gram.dot(move)
+            d += base.gram_rounding.dot(move)
+            return np.concatenate([d, -d])
+        return self.correlations(self.predict(rho))
 
     def gram_entries(self, rows, cols) -> np.ndarray:
         """Inner products of the expanded columns at ``rows`` with those at ``cols``.

@@ -16,11 +16,15 @@ A segment ends at the first of: an inactive column catching up to the
 active correlation, an active coefficient hitting zero (lasso), or the
 residual reaching the unrestricted least-squares fit.
 
-Along a segment the residual and every correlation are linear in the
-step, so ``solve_path`` carries them from vertex to vertex (covariance
-updates) and recomputes them from the coefficients only every
-``REFRESH_EVERY`` segments, near a stopping threshold, and at the end.
-Each such refresh checks the carried values against the exact ones.
+Along a segment every correlation is linear in the step and the squared
+residual norm quadratic, so ``solve_path`` carries them from vertex to
+vertex (covariance updates) and forms the residual from the coefficients
+only every ``REFRESH_EVERY`` segments, near a stopping threshold, and at
+the end. Each such refresh checks the carried correlations against the
+exact ones. The decay rates X'X rho of a segment come from the design's
+Gram (p x p products) on a tall, well-conditioned design
+(``StandardizedDesign.gram_decays``) and from X (two n x p products)
+elsewhere.
 
 A segment costs a few dozen numpy calls on small designs, so the engine
 keeps that count down: the event scan reads the columns it may consider
@@ -216,27 +220,28 @@ def monotone_move_direction(design, beta: np.ndarray) -> MoveDirection:
     return _nnls_direction(design, active, c, entering=active)[0]
 
 
-def _scan_events(design, beta, r, r_floor, c, C, rho, scannable, mode, stop_state):
-    """First event along beta + gamma * rho from residual r.
+def _scan_events(design, beta, r_floor, c, C, rho, scannable, mode, stop_state):
+    """First event along beta + gamma * rho, where the correlations are c.
 
     Correlations are linear in gamma: column j decays at rate
-    d_j = x_j . (X rho). Every supported column (rho_j != 0) decays
-    proportionally, so the tied maximum decays at Delta = max over the
-    support of d, and the catch-up step for an inactive column is
-    (C - c_j) / (Delta - d_j). Only columns flagged in ``scannable`` are
-    scanned: not the active or barred ones, nor the mirror of a supported
-    column, which would tie exactly at the least-squares point. Where
-    the least-squares point leaves a residual of at most ``r_floor`` (a
-    zero-residual fit, p >= n), every column catches up there; a catch-up
-    within TIE_TOLERANCE of it is then a join at that point. So the kind
-    of the path's last event does not depend on rounding, but its index
-    and step can: a column whose catch-up rounds to just outside the tie
-    band ends the path at its own step, as its only catcher.
+    d_j = x_j . (X rho) (``ExpandedDesign.decay_rates``). Every supported
+    column (rho_j != 0) decays proportionally, so the tied maximum decays
+    at Delta = max over the support of d, and the catch-up step for an
+    inactive column is (C - c_j) / (Delta - d_j). Only columns flagged in
+    ``scannable`` are scanned: not the active or barred ones, nor the
+    mirror of a supported column, which would tie exactly at the
+    least-squares point. Where the least-squares point leaves a residual
+    of at most ``r_floor`` (a zero-residual fit, p >= n), every column
+    catches up there; that residual is formed exactly, from the
+    coefficients. A catch-up within TIE_TOLERANCE of it is then a join at
+    that point. So the kind of the path's last event does not depend on
+    rounding, but its index and step can: a column whose catch-up rounds
+    to just outside the tie band ends the path at its own step, as its
+    only catcher.
 
-    Returns (gamma, kind, indices, v, d, Delta).
+    Returns (gamma, kind, indices, d, Delta).
     """
-    v = design.predict(rho)
-    d = design.correlations(v)
+    d = design.decay_rates(rho)
     Delta = float(d[rho != 0.0].max())
     if not Delta > 0.0:
         raise InternalConsistencyError("move does not decay the active correlation")
@@ -260,7 +265,7 @@ def _scan_events(design, beta, r, r_floor, c, C, rho, scannable, mode, stop_stat
         gmin = float(gammas[gammas.argmin()])
     at_zero_residual = (
         abs(gmin - gamma_c) <= TIE_TOLERANCE * gamma_c
-        and _norm(r - gamma_c * v) <= r_floor
+        and _norm(design.base.y_centered - design.predict(beta + gamma_c * rho)) <= r_floor
     )
     if at_zero_residual or gmin < gamma_c * (1.0 - STRICT_RTOL):
         best_gamma = gamma_c if at_zero_residual else gmin
@@ -290,7 +295,7 @@ def _scan_events(design, beta, r, r_floor, c, C, rho, scannable, mode, stop_stat
             if g < best_gamma:
                 best_gamma, kind, indices = g, EVENT_STOP_LAMBDA, None
 
-    return best_gamma, kind, indices, v, d, Delta
+    return best_gamma, kind, indices, d, Delta
 
 
 def next_event(design, beta, direction: MoveDirection, mode: str = "lasso") -> PathEvent:
@@ -300,14 +305,13 @@ def next_event(design, beta, direction: MoveDirection, mode: str = "lasso") -> P
     if direction.is_zero:
         raise ValueError("direction is zero; no event ahead")
     y = design.base.y_centered
-    r = y - design.predict(beta)
-    c = design.correlations(r)
+    c = design.correlations(y - design.predict(beta))
     C = float(c.max())
     scannable = np.ones(design.p2, dtype=bool)
     scannable[_tied_set(c, C)] = False
     scannable[(direction.rho.nonzero()[0] + design.p) % design.p2] = False
-    gamma, kind, indices, _, _, _ = _scan_events(
-        design, beta, r, RESIDUAL_FLOOR * _norm(y), c, C, direction.rho,
+    gamma, kind, indices, _, _ = _scan_events(
+        design, beta, RESIDUAL_FLOOR * _norm(y), c, C, direction.rho,
         scannable, mode, None,
     )
     index = indices[0] if indices else None
@@ -332,12 +336,13 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     mode, stop_norm, stop_lambda = cfg.mode, cfg.stop_l1_norm, cfg.stop_lambda
     p, p2 = design.p, design.p2
     y = design.base.y_centered
-    y_norm = _norm(y)
+    # The squared residual norm, carried in place of the residual itself.
+    r2 = float(y.dot(y))
+    y_norm = math.sqrt(r2)
 
     beta = np.zeros(p2)
     ell = 0.0
-    r = y.copy()
-    c = design.correlations(r)
+    c = design.correlations(y)
     C = float(c[c.argmax()])
     floor = CORRELATION_FLOOR * max(C, 1e-300)
     r_floor = RESIDUAL_FLOOR * y_norm
@@ -347,7 +352,7 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         beta, "l1_arc_length" if mode == "fs0" else "l1_norm", design.base.feature_names
     )
 
-    if C <= floor or y_norm <= r_floor:  # r is still y
+    if C <= floor or y_norm <= r_floor:  # the residual is still y
         return rec.build()
     if stop_norm is not None and stop_norm <= 0:
         return rec.build()
@@ -426,8 +431,8 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
             scannable[(a + p) % p2] = False
         shadowed = support
 
-        gamma, kind, indices, v, d, Delta = _scan_events(
-            design, beta, r, r_floor, c, C, rho, scannable, mode, (ell, stop_norm, stop_lambda)
+        gamma, kind, indices, d, Delta = _scan_events(
+            design, beta, r_floor, c, C, rho, scannable, mode, (ell, stop_norm, stop_lambda)
         )
         index = indices[0] if indices else None
 
@@ -446,11 +451,13 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
             beta[index] = 0.0
         ell += gamma
         final = kind in (EVENT_FULL_LS, EVENT_STOP_NORM, EVENT_STOP_LAMBDA)
-        # Covariance update: the residual and the correlations move linearly.
-        r -= gamma * v
+        # Covariance update: the correlations move linearly, and the squared
+        # residual norm as |r - gamma X rho|^2 = |r|^2 - 2 gamma c.rho
+        # + gamma^2 d.rho.
+        r2 += gamma * (gamma * float(d.dot(rho)) - 2.0 * float(c.dot(rho)))
         c_carried = c - gamma * d
         C_new = float(c_carried[c_carried.argmax()])
-        r_norm = _norm(r)
+        r_norm = math.sqrt(max(r2, 0.0))
         since_refresh += 1
         if (
             since_refresh >= REFRESH_EVERY
@@ -470,7 +477,8 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
                     f"carried correlations drifted by {worst:.3e} from the exact ones"
                 )
             C_new = float(c[c.argmax()])
-            r_norm = _norm(r)
+            r2 = float(r.dot(r))
+            r_norm = math.sqrt(r2)
             since_refresh = 0
         else:
             c = c_carried

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from l1paths import (
     solve_path,
     standardize,
 )
-from oracles import rng_for
+from oracles import gaussian_instance, rng_for
 
 
 class TestStandardize:
@@ -231,6 +232,91 @@ class TestSignedGramGather:
         for k, row in enumerate(seen):
             expected = self._explicit(ed.base.gram, self.P, [active[k]], active[: k + 1])
             assert np.array_equal(row, expected[0])
+
+
+def _tall(seed=0, n=600, p=120):
+    """A tall Gaussian design, the shape of the benchmark's tall workload."""
+    X = rng_for(seed).standard_normal((n, p))
+    y = X[:, :12] @ rng_for(seed + 1).standard_normal(12) + 2.0 * rng_for(seed + 2).standard_normal(n)
+    return standardize(Dataset(X=X, y=y))
+
+
+def _square():
+    """The square 6 x 5 design of test_ill_conditioned_square_design_matches_replay."""
+    rng = rng_for(885)
+    X = rng.standard_normal((6, 5))
+    y = X @ (rng.standard_normal(5) * (rng.random(5) < 0.6)) + rng.standard_normal(6)
+    return standardize(Dataset(X=X, y=y))
+
+
+def _duplicated():
+    """A Gaussian design whose last column repeats its second: a singular Gram."""
+    X = rng_for(13).standard_normal((40, 4))
+    return standardize(Dataset(X=np.column_stack([X, X[:, 1]]), y=rng_for(14).standard_normal(40)))
+
+
+GRAM_ROUTE = {
+    "tall": _tall,
+    "sine_step": lambda: standardize(gen_sine(basis="piecewise-constant", seed=0)),
+}
+X_ROUTE = {
+    "sine_hinge": lambda: standardize(gen_sine(seed=0)),
+    "correlated_45x40": lambda: gaussian_instance(45, 40, seed=1000, correlated=True),
+    "square_6x5": _square,
+    "block_30x100": lambda: standardize(lp.gen_block(n=30, p=100, seed=0)[0]),
+    "duplicated_column": _duplicated,
+}
+
+
+def _moves(p2):
+    """Unit-mass mirrored moves with both signs, on a few columns and on all."""
+    rng = rng_for(15)
+    for size in (3, 8, p2):
+        rho = np.zeros(p2)
+        rho[rng.choice(p2, size=size, replace=False)] = rng.standard_normal(size)
+        yield rho / rho.sum()
+
+
+class TestDecayRates:
+    """``decay_rates`` is X'X rho over the mirrored columns: from the Gram and
+    its rounding on a tall, well-conditioned design, and X'(X rho), bit for
+    bit, elsewhere."""
+
+    @pytest.mark.parametrize("name", sorted(GRAM_ROUTE))
+    def test_gram_route_matches_explicit_product(self, name):
+        design = GRAM_ROUTE[name]()
+        assert design.gram_decays
+        ed = design.expanded()
+        Xe = np.hstack([design.Xs, -design.Xs])
+        for rho in _moves(ed.p2):
+            d = ed.decay_rates(rho)
+            explicit = Xe.T @ (Xe @ rho)
+            assert np.max(np.abs(d - explicit)) <= 1e-13 * np.max(np.abs(explicit))
+            assert np.array_equal(d[ed.p:], -d[: ed.p])
+
+    @pytest.mark.parametrize("name", sorted(GRAM_ROUTE))
+    def test_gram_rounding_is_what_the_gram_left_out(self, name):
+        """gram + gram_rounding is X'X of the stored columns: against sums of
+        exact products (each split in two 26-bit halves) taken by fsum."""
+        design = GRAM_ROUTE[name]()
+        X = design.Xs[:, :12]
+        hi = X * 134217729.0
+        hi -= hi - X
+        lo = X - hi
+        exact_error = np.array([[math.fsum(np.concatenate([
+            hi[:, i] * hi[:, j], hi[:, i] * lo[:, j], lo[:, i] * hi[:, j], lo[:, i] * lo[:, j],
+            [-design.gram[i, j]]])) for j in range(X.shape[1])] for i in range(X.shape[1])])
+        rounding = design.gram_rounding[:12, :12]
+        assert np.max(np.abs(exact_error)) > 0
+        assert np.max(np.abs(rounding - exact_error)) <= 1e-5 * np.max(np.abs(exact_error))
+
+    @pytest.mark.parametrize("name", sorted(X_ROUTE))
+    def test_x_route_is_the_two_products(self, name):
+        design = X_ROUTE[name]()
+        assert not design.gram_decays
+        ed = design.expanded()
+        for rho in _moves(ed.p2):
+            assert np.array_equal(ed.decay_rates(rho), ed.correlations(ed.predict(rho)))
 
 
 class TestDatasetValidation:

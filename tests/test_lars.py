@@ -618,8 +618,10 @@ class TestDriftGuard:
             return out
 
         def perturbed(self, r):
-            # X^T (X rho) is a decay rate; anything else is the correlation
-            # of a residual, left exact only on the first (y itself) call
+            # On this X-route design a decay rate is the correlation of a
+            # vector that predict returned, X^T (X rho); any other call is
+            # the correlation of a residual, left exact only on the first
+            # (y itself)
             c = correlations(self, r)
             if any(r is f for f in seen["fits"]):
                 return c
@@ -630,6 +632,47 @@ class TestDriftGuard:
         monkeypatch.setattr(lp.ExpandedDesign, "correlations", perturbed)
         with pytest.raises(lp.InternalConsistencyError):
             solve_path(design.expanded(), SolverConfig(mode="lasso"))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_perturbed_gram_decay_rates_raise(self, monkeypatch, scale):
+        """On the Gram route the decay rates never touch X, so the refresh
+        is what ties them to X: rates shifted by 1e-3 of their largest entry
+        move the carried correlations off the exact ones. A rate is per unit
+        of coefficient, which scales with y, so the shift is relative to the
+        rates; the drift it makes is then a fixed fraction of C0."""
+        design = _scaled(gaussian_instance(200, 20, seed=0), scale)
+        assert design.gram_decays
+        decay_rates = lp.ExpandedDesign.decay_rates
+
+        def shifted(self, rho):
+            d = decay_rates(self, rho)
+            return d + 1e-3 * float(np.abs(d).max())
+
+        monkeypatch.setattr(lp.ExpandedDesign, "decay_rates", shifted)
+        with pytest.raises(lp.InternalConsistencyError, match="drifted"):
+            solve_path(design.expanded(), SolverConfig(mode="lasso"))
+
+
+@pytest.mark.parametrize("mode", ["lar", "lasso", "fs0"])
+def test_gram_route_forms_x_products_only_at_refreshes(monkeypatch, mode):
+    """On a Gram-route design the residual is formed from X at the exact
+    refreshes only: every REFRESH_EVERY segments, near a threshold and at
+    the end; the segments in between read the Gram."""
+    X = rng_for(16).standard_normal((600, 120))
+    design = standardize(lp.Dataset(X=X, y=X[:, :12] @ rng_for(17).standard_normal(12)
+                                    + 2.0 * rng_for(18).standard_normal(600)))
+    calls = []
+    predict = lp.ExpandedDesign.predict
+
+    def counting(self, beta):
+        calls.append(None)
+        return predict(self, beta)
+
+    monkeypatch.setattr(lp.ExpandedDesign, "predict", counting)
+    path = solve_path(design.expanded(), SolverConfig(mode=mode))
+    assert path.n_segments > 4 * lp.lars.REFRESH_EVERY
+    assert len(calls) <= -(-path.n_segments // lp.lars.REFRESH_EVERY) + 2
+    assert design.gram_decays
 
 
 class TestBatchedJoin:

@@ -41,7 +41,8 @@ def test_every_named_tolerance_is_in_the_table():
 def test_table_rows_name_real_constants_at_their_values():
     table = _table()
     assert {"REFRESH_EVERY", "LOSS_INCREASE_SLACK", "_MIN_ENTRY", "STEP_FLOOR",
-            "NNLS_PIVOT_BUDGET", "CHECK_BUDGET", "DIVERGENCE_TOLERANCE"} <= set(table)
+            "NNLS_PIVOT_BUDGET", "CHECK_BUDGET", "DIVERGENCE_TOLERANCE",
+            "GRAM_PIVOT_FLOOR"} <= set(table)
     for name, (module, value) in table.items():
         assert getattr(importlib.import_module(f"l1paths.{module}"), name) == value, name
 
