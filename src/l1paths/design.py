@@ -9,7 +9,6 @@ is spent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,8 +24,8 @@ ZERO_VARIANCE_RTOL = 1e-12
 # The engine forms decay rates from the Gram only when every pivot of the
 # Gram's Cholesky factor keeps at least this fraction of its column's squared
 # norm (L_kk^2 / G_kk). On near-dependent designs (the sine hinge basis, a
-# correlated 45 x 40 Gaussian) Gram-formed rates, even corrected for the
-# Gram's rounding, moved the vertices further from an exact replay than X.
+# correlated 45 x 40 Gaussian) Gram-formed rates moved the vertices further
+# from an exact replay than X.
 GRAM_PIVOT_FLOOR = 1 / 16
 
 
@@ -75,8 +74,7 @@ class StandardizedDesign:
     ``gram`` is X'X of the standardized columns, the one Gram every solver
     reads. ``standardize`` returns ``Xs`` read-only, so that the Gram,
     formed on first use, cannot go stale; ``gram_decays``, decided once
-    beside it, says whether the engine's decay rates may come from it, and
-    ``gram_rounding`` holds what its rounding left out.
+    beside it, says whether the engine's decay rates may come from it too.
     """
 
     Xs: np.ndarray
@@ -119,39 +117,6 @@ class StandardizedDesign:
             return False
         return bool((np.diagonal(L) ** 2 / np.diagonal(gram)).min() >= GRAM_PIVOT_FLOOR)
 
-    @cached_property
-    def gram_rounding(self) -> np.ndarray:
-        """X'X - ``gram``, the rounding error of the stored Gram, formed on
-        first use with an error about 2^-k of its own size.
-
-        Each column is scaled by a power of two to |x| < 1 and cut into a
-        head on a fixed grid of 2^-k and an exact tail, with 2k bits plus
-        log2(n) at most 53 (k = 21 at n = 600): every partial sum of head
-        products is then a double, so BLAS forms the heads' Gram exactly in
-        any order (Ozaki et al. 2012). The products with the tail are 2^-k
-        smaller, so their rounding is too.
-        """
-        X, n = self.Xs, self.n
-        k = (53 - math.ceil(math.log2(n))) // 2
-        scale = np.ldexp(1.0, np.frexp(np.abs(X).max(axis=0))[1])
-        tail = X / scale
-        grid = 1.5 * 2.0 ** (52 - k)  # adding and removing it rounds to 2^-k
-        head = tail + grid
-        head -= grid
-        tail -= head
-        pairs = np.outer(scale, scale)
-        rounding = head.T @ head - self.gram / pairs
-        # The rest of X'X is A + A' with A = tail'(head + tail / 2), whose
-        # rounding is 2^-k below that of X'X; formed in place, as twice
-        # (tail / 2)'(head + tail / 2), to hold two n x p arrays at most.
-        tail *= 0.5
-        head += tail
-        half = tail.T @ head
-        rounding += 2.0 * (half + half.T)
-        rounding *= pairs
-        rounding.flags.writeable = False
-        return rounding
-
     def correlations(self, r: np.ndarray) -> np.ndarray:
         """Inner products of every standardized column with r."""
         return self.Xs.T @ r
@@ -180,7 +145,9 @@ def standardize(data: Dataset, center_response: bool = True) -> StandardizedDesi
 
     Raises ZeroVarianceError naming the first constant column (see
     ZERO_VARIANCE_RTOL), and DataError for a column whose standard
-    deviation over- or underflows in double precision. With
+    deviation over- or underflows in double precision, or for a nonzero
+    centered response whose sum of squares does: the solvers form it, and
+    a subnormal or infinite one silently cuts the path short. With
     ``center_response=False`` the response is kept raw (for 0/1
     responses used with a classification loss).
     """
@@ -199,17 +166,21 @@ def standardize(data: Dataset, center_response: bool = True) -> StandardizedDesi
         j = int(np.flatnonzero(unscalable)[0])
         label = data.feature_names[j] if data.feature_names is not None else f"column {j}"
         raise DataError(f"cannot standardize {label}: its variance over- or underflows")
-    if center_response:
-        y_mean = float(data.y.mean())
-    else:
-        y_mean = 0.0
+    # A mean that overflows is inf, or nan where partial sums overflow both ways.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_mean = float(data.y.mean()) if center_response else 0.0
+        y_centered = data.y - y_mean
+        y_sq = y_centered.dot(y_centered)
+    if not np.isfinite(y_mean) or (
+            not np.finfo(float).tiny <= y_sq < np.inf and y_centered.any()):
+        raise DataError("cannot standardize the response: its sum of squares over- or underflows")
     Xs = Xc / scales
     Xs.flags.writeable = False
     return StandardizedDesign(
         Xs=Xs,
         centers=centers,
         scales=scales,
-        y_centered=data.y - y_mean,
+        y_centered=y_centered,
         y_mean=y_mean,
         feature_names=list(data.feature_names) if data.feature_names else None,
     )
@@ -264,16 +235,15 @@ class ExpandedDesign:
         """X'X rho over all 2p signed columns (exact mirror): the rate at
         which each correlation with the residual falls along the move rho.
 
-        Where the base design's ``gram_decays`` holds, two p x p products:
-        its ``gram`` and, so that the Gram's rounding does not move the path,
-        its ``gram_rounding``. Elsewhere the two n x p products X'(X rho).
+        Where the base design's ``gram_decays`` holds, one p x p product with
+        its ``gram``, the matrix the directions are solved in: the rates then
+        carry the Gram's own rounding, about n eps relative. Elsewhere the
+        two n x p products X'(X rho).
         """
         base = self.base
         if base.gram_decays:
             p = self.p
-            move = rho[:p] - rho[p:]
-            d = base.gram.dot(move)
-            d += base.gram_rounding.dot(move)
+            d = base.gram.dot(rho[:p] - rho[p:])
             return np.concatenate([d, -d])
         return self.correlations(self.predict(rho))
 

@@ -22,9 +22,9 @@ vertex (covariance updates) and forms the residual from the coefficients
 only every ``REFRESH_EVERY`` segments, near a stopping threshold, and at
 the end. Each such refresh checks the carried correlations against the
 exact ones. The decay rates X'X rho of a segment come from the design's
-Gram (p x p products) on a tall, well-conditioned design
-(``StandardizedDesign.gram_decays``) and from X (two n x p products)
-elsewhere.
+one Gram, the matrix the directions are solved in (one p x p product), on
+a tall, well-conditioned design (``StandardizedDesign.gram_decays``), and
+from X (two n x p products) elsewhere.
 
 A segment costs a few dozen numpy calls on small designs, so the engine
 keeps that count down: the event scan reads the columns it may consider

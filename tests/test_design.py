@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -15,6 +14,19 @@ from l1paths import (
     standardize,
 )
 from oracles import gaussian_instance, rng_for
+
+
+def _raw(design):
+    """The standardized columns and centered response of an instance, as raw data."""
+    return Dataset(X=np.array(design.Xs), y=design.y_centered)
+
+
+RESPONSE_SCALES = {
+    "gaussian_30x8": lambda: _raw(gaussian_instance(30, 8, seed=0)),
+    "gaussian_10x20": lambda: _raw(gaussian_instance(10, 20, seed=0)),
+    "sine_step": lambda: gen_sine(basis="piecewise-constant", seed=0),
+    "sine_hinge": lambda: gen_sine(seed=0),
+}
 
 
 class TestStandardize:
@@ -71,6 +83,50 @@ class TestStandardize:
         X = np.column_stack([np.arange(20.0), value * (1.0 + np.arange(20.0))])
         with pytest.raises(DataError, match="column 1: its variance over- or underflows"):
             standardize(Dataset(X=X, y=np.zeros(20)))
+
+    @pytest.mark.parametrize("y", [
+        np.ldexp(np.arange(20.0), 600),  # the sum of squares overflows
+        np.ldexp(np.arange(20.0), -600),  # and underflows to zero
+        np.ldexp(np.arange(20.0), -540),  # to a subnormal
+        np.array([1.7e308] * 10 + [0.0] * 10),  # the mean overflows
+    ])
+    def test_response_beyond_double_range_raises(self, y):
+        X = np.column_stack([np.arange(20.0), np.arange(20.0) ** 2])
+        with pytest.raises(DataError, match="response: its sum of squares over- or underflows"):
+            standardize(Dataset(X=X, y=y))
+
+    @pytest.mark.parametrize("value", [0.0, 2.0**1000])
+    def test_response_centered_to_zero_is_accepted(self, value):
+        X = np.column_stack([np.arange(20.0), np.arange(20.0) ** 2])
+        design = standardize(Dataset(X=X, y=np.full(20, value)))
+        assert not design.y_centered.any()
+
+    @pytest.mark.parametrize("name", sorted(RESPONSE_SCALES))
+    def test_path_follows_response_scaled_by_power_of_two(self, name):
+        """Scaling y by 2^k is exact and every tolerance is relative, so for
+        each k in the double range ``standardize`` refuses the scaled
+        response or every mode's path is 2^k times the unscaled one, bit for
+        bit. The refused k lie outside one interval that holds [-500, 500];
+        paths are compared at every eighth accepted k and at its six
+        outermost on each side."""
+        data = RESPONSE_SCALES[name]()
+        modes = ("lar", "lasso", "fs0")
+        plain = {mode: solve_path(standardize(data), SolverConfig(mode=mode)) for mode in modes}
+        accepted = {}
+        for k in range(-1074, 1024):
+            with np.errstate(over="ignore"):
+                y = np.ldexp(data.y, k)
+            try:
+                accepted[k] = standardize(Dataset(X=data.X, y=y))
+            except DataError:
+                pass
+        ks = sorted(accepted)
+        assert ks == list(range(ks[0], ks[-1] + 1)) and ks[0] <= -500 and ks[-1] >= 500
+        for k in sorted(set(ks[::8] + ks[:6] + ks[-6:])):
+            for mode in modes:
+                path = solve_path(accepted[k], SolverConfig(mode=mode))
+                assert np.array_equal(path.vertices, np.ldexp(plain[mode].vertices, k)), (k, mode)
+                assert np.array_equal(path.breakpoints, np.ldexp(plain[mode].breakpoints, k))
 
     def test_invertible_via_stored_statistics(self):
         rng = rng_for(4)
@@ -171,6 +227,18 @@ class TestOneGram:
         lp.check_condition(counting, lp.SignedSubset(indices=(1, 2, 5), signs=(1, 1, -1)))
         assert _CountingXs.products == 1
         assert np.array_equal(counting.gram, design.Xs.T @ design.Xs)
+
+    def test_gram_route_design_holds_one_gram(self):
+        """A design whose decay rates come from its Gram caches that Gram and
+        the route's verdict beside its fields, and no other matrix."""
+        design = standardize(gen_sine(basis="piecewise-constant", seed=0))
+        for mode in ("lar", "lasso", "fs0"):
+            solve_path(design, SolverConfig(mode=mode))
+        lp.check_condition(design, lp.SignedSubset(indices=(0, 4), signs=(1, -1)))
+        lp.monotone_incremental(design, lp.StagewiseConfig(epsilon=0.05, max_iterations=200))
+        assert design.gram_decays
+        fields = {f.name for f in dataclasses.fields(design)}
+        assert set(vars(design)) == fields | {"gram", "gram_decays"}
 
     def test_columns_and_gram_refuse_writes(self, design):
         with pytest.raises(ValueError, match="read-only"):
@@ -278,9 +346,9 @@ def _moves(p2):
 
 
 class TestDecayRates:
-    """``decay_rates`` is X'X rho over the mirrored columns: from the Gram and
-    its rounding on a tall, well-conditioned design, and X'(X rho), bit for
-    bit, elsewhere."""
+    """``decay_rates`` is X'X rho over the mirrored columns: one product with
+    the design's one Gram on a tall, well-conditioned design, and X'(X rho),
+    bit for bit, elsewhere."""
 
     @pytest.mark.parametrize("name", sorted(GRAM_ROUTE))
     def test_gram_route_matches_explicit_product(self, name):
@@ -293,22 +361,8 @@ class TestDecayRates:
             explicit = Xe.T @ (Xe @ rho)
             assert np.max(np.abs(d - explicit)) <= 1e-13 * np.max(np.abs(explicit))
             assert np.array_equal(d[ed.p:], -d[: ed.p])
-
-    @pytest.mark.parametrize("name", sorted(GRAM_ROUTE))
-    def test_gram_rounding_is_what_the_gram_left_out(self, name):
-        """gram + gram_rounding is X'X of the stored columns: against sums of
-        exact products (each split in two 26-bit halves) taken by fsum."""
-        design = GRAM_ROUTE[name]()
-        X = design.Xs[:, :12]
-        hi = X * 134217729.0
-        hi -= hi - X
-        lo = X - hi
-        exact_error = np.array([[math.fsum(np.concatenate([
-            hi[:, i] * hi[:, j], hi[:, i] * lo[:, j], lo[:, i] * hi[:, j], lo[:, i] * lo[:, j],
-            [-design.gram[i, j]]])) for j in range(X.shape[1])] for i in range(X.shape[1])])
-        rounding = design.gram_rounding[:12, :12]
-        assert np.max(np.abs(exact_error)) > 0
-        assert np.max(np.abs(rounding - exact_error)) <= 1e-5 * np.max(np.abs(exact_error))
+            one = design.gram.dot(rho[: ed.p] - rho[ed.p:])
+            assert np.array_equal(d, np.concatenate([one, -one]))
 
     @pytest.mark.parametrize("name", sorted(X_ROUTE))
     def test_x_route_is_the_two_products(self, name):

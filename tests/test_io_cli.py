@@ -807,6 +807,18 @@ class TestCli:
         code, _, err = self.run(capsys, *argv)
         assert (code, err) == (3, f"error: {message}\n")
 
+    @pytest.mark.parametrize("k", [600, -600])
+    @pytest.mark.parametrize("method", ["lar", "lasso", "fs0"])
+    def test_solve_refuses_response_beyond_double_range(self, k, method, tmp_path, capsys):
+        """A response whose sum of squares over- or underflows is a data error
+        (exit 3) with one error line, not a warning and an empty path."""
+        data = gen_sine(seed=0)
+        csv = tmp_path / "scaled.csv"
+        pio.write_dataset_csv(lp.Dataset(X=data.X, y=np.ldexp(data.y, k)), csv)
+        code, _, err = self.run(capsys, "solve", "--input", str(csv), "--method", method)
+        assert code == 3
+        assert err == "error: cannot standardize the response: its sum of squares over- or underflows\n"
+
     def test_certify_rejects_signed_path(self, sine_csv, tmp_path, capsys):
         out = tmp_path / "lar.json"
         self.run(capsys, "solve", "--input", str(sine_csv), "--method", "lar",
