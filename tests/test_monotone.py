@@ -272,11 +272,14 @@ NEAR_THRESHOLD = [(f"offset{offset:+.0e}", near_threshold_design(offset))
 
 
 class TestSearchAgainstOracle:
+    # One serial search per design; workers=2 runs the same search
+    # (see test_search_starts_no_process), so only workers=1 is listed.
+    @pytest.mark.parametrize("workers", [1])
     @pytest.mark.parametrize("name,design", [*SEARCH_DESIGNS, *NEAR_THRESHOLD],
                              ids=[*SEARCH_IDS, *(name for name, _ in NEAR_THRESHOLD)])
-    def test_matches_enumeration(self, name, design):
+    def test_matches_enumeration(self, name, design, workers):
         ref = first_violation_by_enumeration(design, design.p)
-        rep = exhaustive_check(design)
+        rep = exhaustive_check(design, workers=workers)
         assert (rep.passed, rep.violation, rep.checked) == (ref.passed, ref.violation, ref.checked)
         if ref.vector is None:
             assert rep.vector is None
@@ -362,11 +365,12 @@ class TestSearchErrors:
             check_condition(design, SignedSubset((1, 0), (1, 1)))
 
     @pytest.mark.parametrize("batch", [None, 1, 2, 7])
-    def test_singular_subset_raises_with_its_columns(self, batch, monkeypatch):
+    @pytest.mark.parametrize("workers", [1])
+    def test_singular_subset_raises_with_its_columns(self, workers, batch, monkeypatch):
         if batch is not None:
             monkeypatch.setattr(monotone, "_CHUNK", batch)
         with pytest.raises(lp.DegenerateDesignError) as err:
-            exhaustive_check(hadamard_design())
+            exhaustive_check(hadamard_design(), workers=workers)
         assert str(err.value) == "columns (0, 1, 6) have a singular Gram matrix"
 
     def test_errors_survive_pickling(self):
