@@ -15,6 +15,20 @@ entry j is ``0.0`` at offset 5 + 8j; the entries that are not ``0.0``
 C JSON encoder and spliced in at their offsets. The pure-Python encoder
 that any ``indent`` selects never sees the vertex floats, the nested list
 of all of them is never built, and a row costs its nonzero entries.
+
+``read_path_json`` reads that layout back at the cost of the same
+entries. It splits the text at the first ``,\n "vertices": `` and parses
+the keys before it with ``json.loads``. In the rest, the first 8 bytes of
+every line must be the layout's: a row's ``  [`` or ``  ],`` (``  ]``
+for the last row), an entry's three-space indent, or a whole ``0.0``
+entry line. The other entries go through one ``json.loads`` and must
+each be one float. Any other file, down to one byte, is read by
+``json.loads`` of the whole text, so every file reads as ``json.loads``
+reads it: the same values, bit for bit, and the same errors.
+
+Dataset and vector CSVs are UTF-8; a leading byte order mark is not part
+of the first cell. ``read_dataset_csv`` splits a file without quotes at
+its commas and casts all cells to float in one call; see its docstring.
 """
 
 from __future__ import annotations
@@ -40,10 +54,25 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _rows(source) -> list[tuple[int, list[str]]]:
-    """The non-blank rows of a CSV file, each with the number of its (last) line."""
-    reader = csv.reader(Path(source).read_text().splitlines())
+def _csv_text(source) -> str:
+    """The text of a CSV file: UTF-8, with a byte order mark dropped if there is one."""
+    return Path(source).read_text(encoding="utf-8-sig")
+
+
+def _rows(text: str) -> list[tuple[int, list[str]]]:
+    """The non-blank rows of CSV text, each with the number of its (last) line."""
+    reader = csv.reader(text.splitlines())
     return [(reader.line_num, row) for row in reader if row]
+
+
+def _plain_rows(text: str) -> list[tuple[int, list[str]]] | None:
+    """``_rows(text)`` by splitting each line at its commas, or None for text
+    that the csv module could read differently (a quote, or a line longer
+    than its field size limit)."""
+    lines = text.splitlines()
+    if '"' in text or max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return [(k, line.split(",")) for k, line in enumerate(lines, 1) if line]
 
 
 def read_dataset_csv(source, response=None) -> Dataset:
@@ -52,8 +81,16 @@ def read_dataset_csv(source, response=None) -> Dataset:
     The last column is the response unless ``response`` names (or
     0-based-indexes) another. A first row that does not parse as numbers
     is a header. An error names the line of the file it is on.
+
+    A file without quotes is split at its commas, and when every data line
+    has the first one's field count all cells are cast to float in one
+    call. A quoted file goes through the csv module, and a ragged row or a
+    failed cast through the row-by-row conversion that words the error.
     """
-    rows = _rows(source)
+    text = _csv_text(source)
+    rows = plain = _plain_rows(text)
+    if rows is None:
+        rows = _rows(text)
     if not rows:
         raise DataError("empty CSV file")
     names = None
@@ -68,14 +105,21 @@ def read_dataset_csv(source, response=None) -> Dataset:
         if not rows:
             raise DataError("CSV has a header but no data rows")
     width = len(rows[0][1])
-    data = np.empty((len(rows), width))
-    for i, (line, row) in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"line {line}: expected {width} fields, got {len(row)}")
+    data = None
+    if plain is not None and all(len(row) == width for _, row in rows):
         try:
-            data[i] = list(map(float, row))
-        except ValueError as exc:
-            raise DataError(f"line {line}: {exc}") from None
+            data = np.array([row for _, row in rows], dtype=float)
+        except ValueError:
+            pass
+    if data is None:
+        data = np.empty((len(rows), width))
+        for i, (line, row) in enumerate(rows):
+            if len(row) != width:
+                raise DataError(f"line {line}: expected {width} fields, got {len(row)}")
+            try:
+                data[i] = list(map(float, row))
+            except ValueError as exc:
+                raise DataError(f"line {line}: {exc}") from None
     if response is None:
         col = width - 1
     elif isinstance(response, int) or (isinstance(response, str) and response.lstrip("-").isdigit()):
@@ -145,7 +189,7 @@ def path_from_dict(doc: dict) -> PiecewiseLinearPath:
     try:
         return PiecewiseLinearPath(
             breakpoints=np.array(doc["breakpoints"], dtype=float),
-            vertices=np.array(doc["vertices"], dtype=float),
+            vertices=np.asarray(doc["vertices"], dtype=float),
             segment_active_sets=[tuple(s) for s in doc["segment_active_sets"]],
             parametrization=doc["parametrization"],
             events=[PathEvent(**e) for e in events],
@@ -160,6 +204,8 @@ def path_from_dict(doc: dict) -> PiecewiseLinearPath:
 # float of a vertex row on its own line at depth 3 of the indent-1 layout.
 _ROW_SEP = ",\n   "
 _ROW_ENCODER = json.JSONEncoder(separators=(_ROW_SEP, ": "))
+# What comes between the other keys of a path file and its vertex matrix.
+_VERTICES_KEY = ',\n "vertices": '
 
 
 def _vertex_rows(vertices: np.ndarray):
@@ -196,7 +242,7 @@ def write_path_json(path: PiecewiseLinearPath, target, metadata: dict | None = N
     assert all(key < "vertices" for key in header), "vertices must sort last"
     text = json.dumps(header, sort_keys=True, indent=1)
     with open(target, "w") as out:
-        out.write(text[:-2] + ',\n "vertices": ')
+        out.write(text[:-2] + _VERTICES_KEY)
         if not len(path.vertices):
             out.write("[]\n}\n")
             return
@@ -207,11 +253,102 @@ def write_path_json(path: PiecewiseLinearPath, target, metadata: dict | None = N
         out.write("\n ]\n}\n")
 
 
-def read_path_json(source) -> PiecewiseLinearPath:
+def _line_start(text: str) -> tuple[int, int]:
+    """The bytes of ``text`` as a little-endian integer, and the mask of their bits."""
+    raw = text.encode()
+    return int.from_bytes(raw, "little"), (1 << 8 * len(raw)) - 1
+
+
+# The first bytes of each line of a vertex row as write_path_json writes it,
+# up to and including the newline where the line is fixed text: the opening
+# bracket, the closing one (the last row's without a comma), an entry's
+# indent, and a 0.0 entry (the last of its row followed by the closing line).
+_OPEN, _CLOSE, _CLOSE_LAST, _INDENT, _ZERO, _ZERO_LAST = map(
+    _line_start, ["  [\n", "  ],\n", "  ]\n", "   ", "   0.0,\n", "   0.0\n "])
+
+
+def _writer_vertices(data: bytes, start: int) -> np.ndarray | None:
+    """The vertex matrix that ``data[start:]`` holds in write_path_json's layout, else None.
+
+    ``data[start:]`` is what follows ``"vertices": ``. The first 8 bytes of
+    every line are compared with the layout in one vectorized pass, so
+    every byte but those of the entries that are not ``0.0`` is the
+    writer's. Those entries are parsed by ``json.loads`` as one array and
+    accepted only when each is one float, so each reads as it does in a
+    ``json.loads`` of the whole file.
+    """
+    if not (data.startswith(b"[\n  [\n", start) and data.endswith(b"\n  ]\n ]\n}\n")):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    nexts = np.flatnonzero(raw[start:] == ord("\n"))
+    nexts += start + 1  # where each line after the first starts
+    # Lines 1 to len(nexts) - 3 are the rows: "  [", one line per entry, "  ],".
+    starts = nexts[:-3]
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))[starts]
+    width = data.count(b"\n", start, data.find(b"\n  ]", start)) - 1
+    n_rows, extra = divmod(len(words), width + 2)
+    if width < 1 or extra:
+        return None
+    grid = words.reshape(n_rows, width + 2)
+    entries = grid[:, 1:-1]
+    zero = entries == _ZERO[0]
+    zero[:, -1] = entries[:, -1] == _ZERO_LAST[0]
+    flat = np.flatnonzero(~zero)
+    row, col = np.divmod(flat, width)
+    line = row * (width + 2) + col + 1
+    comma = col < width - 1
+    token_end = nexts[line + 1] - 1 - comma
+    if not ((grid[:, 0] & _OPEN[1] == _OPEN[0]).all()
+            and (grid[:-1, -1] & _CLOSE[1] == _CLOSE[0]).all()
+            and grid[-1, -1] & _CLOSE_LAST[1] == _CLOSE_LAST[0]
+            and (words[line] & _INDENT[1] == _INDENT[0]).all()
+            and (raw[token_end[comma]] == ord(",")).all()):
+        return None
+    tokens = [data[a:b] for a, b in zip((starts[line] + 3).tolist(), token_end.tolist())]
+    values = json.loads(b"[" + b",".join(tokens) + b"]")
+    if len(values) != len(tokens) or not all(type(v) is float for v in values):
+        return None
+    vertices = np.zeros(n_rows * width)
+    vertices[flat] = values
+    return vertices.reshape(n_rows, width)
+
+
+def _writer_layout_doc(data: bytes) -> dict | None:
+    """``json.loads`` of a path file's bytes when they are write_path_json's layout, else None.
+
+    The keys before ``vertices`` go through ``json.loads``; the vertex
+    matrix through ``_writer_vertices``. The writer writes ASCII, which
+    decodes to the same text under any locale encoding; in other bytes the
+    text that ``read_text`` gives could differ.
+    """
+    at = data.find(_VERTICES_KEY.encode())
+    if at < 0 or not data.isascii():
+        return None
     try:
-        doc = json.loads(Path(source).read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed path JSON: {exc}") from None
+        doc = json.loads(data[:at] + b"\n}")
+        vertices = _writer_vertices(data, at + len(_VERTICES_KEY))
+    except (ValueError, IndexError, RecursionError):
+        return None
+    # An empty header would make "{," of the whole text, which is not JSON.
+    if not (isinstance(doc, dict) and doc) or vertices is None:
+        return None
+    doc["vertices"] = vertices
+    return doc
+
+
+def read_path_json(source) -> PiecewiseLinearPath:
+    """The path in a path JSON file.
+
+    A file in write_path_json's layout is read at the cost of its entries
+    that are not ``0.0``; any other file is read as text by ``json.loads``,
+    whose errors are reported.
+    """
+    doc = _writer_layout_doc(Path(source).read_bytes())
+    if doc is None:
+        try:
+            doc = json.loads(Path(source).read_text())
+        except json.JSONDecodeError as exc:
+            raise DataError(f"malformed path JSON: {exc}") from None
     return path_from_dict(doc)
 
 
@@ -258,7 +395,7 @@ def write_vector_csv(values: np.ndarray, target, names=None) -> None:
 
 
 def read_vector_csv(source) -> np.ndarray:
-    rows = [row for _, row in _rows(source)]
+    rows = [row for _, row in _rows(_csv_text(source))]
     if rows and rows[0] == ["coordinate", "value"]:
         rows = rows[1:]
     try:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -77,6 +78,126 @@ class TestDatasetCsv:
         target.write_text("1,2,3\n\n4,5\n")
         with pytest.raises(lp.DataError, match="^line 3: expected 3 fields, got 2$"):
             pio.read_dataset_csv(target)
+
+    def test_byte_order_mark_before_data(self, tmp_path):
+        """A UTF-8 byte order mark does not turn the first data row into a header."""
+        target = tmp_path / "bom.csv"
+        target.write_text("\ufeff1.0,2.0,3.0\n4.0,5.0,6.0\n7,8,9\n", encoding="utf-8")
+        data = pio.read_dataset_csv(target)
+        assert data.feature_names is None
+        np.testing.assert_array_equal(data.X, [[1.0, 2.0], [4.0, 5.0], [7.0, 8.0]])
+        np.testing.assert_array_equal(data.y, [3.0, 6.0, 9.0])
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        target = tmp_path / "bom.csv"
+        target.write_text("\ufeffa,b,y\n1,2,3\n4,5,6\n", encoding="utf-8")
+        data = pio.read_dataset_csv(target, response="a")
+        assert data.feature_names == ["b", "y"]
+        np.testing.assert_array_equal(data.y, [1.0, 4.0])
+
+    def test_byte_order_mark_before_vector(self, tmp_path):
+        target = tmp_path / "beta.csv"
+        target.write_text("\ufeffcoordinate,value\n0,1.5\n1,-2\n", encoding="utf-8")
+        np.testing.assert_array_equal(pio.read_vector_csv(target), [1.5, -2.0])
+
+
+def row_by_row_dataset(text, response=None):
+    """read_dataset_csv as one csv.reader pass and one float() per cell: the
+    reference that its split-and-cast route must reproduce."""
+    reader = csv.reader(text.splitlines())
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
+        raise lp.DataError("empty CSV file")
+    names = None
+    try:
+        [float(v) for v in rows[0][1]]
+    except ValueError:
+        names = [v.strip() for v in rows[0][1]]
+        rows = rows[1:]
+        if not rows:
+            raise lp.DataError("CSV has a header but no data rows")
+    width = len(rows[0][1])
+    data = np.empty((len(rows), width))
+    for i, (line, row) in enumerate(rows):
+        if len(row) != width:
+            raise lp.DataError(f"line {line}: expected {width} fields, got {len(row)}")
+        for j, cell in enumerate(row):
+            try:
+                data[i, j] = float(cell)
+            except ValueError as exc:
+                raise lp.DataError(f"line {line}: {exc}") from None
+    if response is None:
+        col = width - 1
+    elif isinstance(response, int) or response.lstrip("-").isdigit():
+        col = int(response)
+        if not -width <= col < width:
+            raise lp.DataError(f"response column {col} out of range for {width} columns")
+        col %= width
+    else:
+        if names is None:
+            raise lp.DataError("response column named but the CSV has no header")
+        if response not in names:
+            raise lp.DataError(f"response column {response!r} not in header {names}")
+        col = names.index(response)
+    keep = [j for j in range(width) if j != col]
+    return lp.Dataset(X=data[:, keep], y=data[:, col],
+                      feature_names=[names[j] for j in keep] if names else None)
+
+
+# Cells whose text is not a 17-digit number, or that float() reads in a way
+# json or np.loadtxt would not, or that it refuses.
+ODD_CELLS = ("-0.0", "nan", "-nan", "1e400", "-1e400", "1e-400", "5e-324",
+             "2.2250738585072009e-308", "1_0", " 1.5 ", "+1", "\u0663", '"2.5"', "oops", "")
+
+
+@st.composite
+def csv_texts(draw):
+    """The text of a CSV file of 1-5 rows and 1-4 columns of 17-digit cells,
+    with drawn odd cells, header, byte order mark, blank and whitespace-only
+    lines, CRLF endings, and ragged rows whose field counts cancel out."""
+    rng = rng_for(draw(st.integers(0, 2**20)))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    odd = rng.choice(ODD_CELLS, size=shape)
+    cells = np.where(rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.3])),
+                     odd, np.vectorize(pio.fmt)(values)).tolist()
+    if shape[0] > 1 and draw(st.booleans()):
+        cells[1].append(cells[0].pop())
+    lines = [",".join(row) for row in cells]
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(["a", " b", '"c"', "y"][-shape[1]:]))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(rng.integers(len(lines) + 1), draw(st.sampled_from(["", "  ", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + end.join(lines) + end * draw(st.integers(0, 2))
+
+
+class TestCsvReaderRoutes:
+    """read_dataset_csv gives what one float() per cell gives, bit for bit, or its error."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts(), response=st.sampled_from([None, 0, -1, "2", "a", "y", "q", 7]))
+    def test_matches_row_by_row(self, text, response, tmp_path):
+        target = tmp_path / "d.csv"
+        target.write_text(text, encoding="utf-8", newline="")
+        outcomes = []
+        for read in (pio.read_dataset_csv, row_by_row_dataset):
+            try:
+                outcomes.append(read(target if read is pio.read_dataset_csv
+                                     else target.read_text(encoding="utf-8-sig"), response))
+            except Exception as exc:  # a header narrower than the data raises IndexError
+                outcomes.append((type(exc), str(exc)))
+        got, expected = outcomes
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        for a, b in ((got.X, expected.X), (got.y, expected.y)):
+            assert a.shape == b.shape and a.strides == b.strides
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert got.X.flags.c_contiguous
+        assert got.feature_names == expected.feature_names
 
 
 class TestPathSerialization:
@@ -231,6 +352,146 @@ class TestPathJsonBytes:
                                       parametrization="l1_norm")
         self.assert_stdlib_bytes(path, tmp_path / "p.json")
 
+
+
+def json_loads_path(target):
+    """read_path_json as one json.loads of the whole file: the reference for
+    its route that parses only the entries that are not 0.0."""
+    try:
+        doc = json.loads(target.read_text())
+    except json.JSONDecodeError as exc:
+        raise lp.DataError(f"malformed path JSON: {exc}") from None
+    return pio.path_from_dict(doc)
+
+
+def assert_reads_as_json_loads(target):
+    outcomes = []
+    for read in (pio.read_path_json, json_loads_path):
+        try:
+            outcomes.append(read(target))
+        except (lp.DataError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    got, expected = outcomes
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    for a, b in ((got.vertices, expected.vertices), (got.breakpoints, expected.breakpoints)):
+        assert a.shape == b.shape and a.flags.c_contiguous
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert got.segment_active_sets == expected.segment_active_sets
+    assert [(e.kind, e.index, np.float64(e.gamma).view(np.uint64), np.float64(e.ell).view(np.uint64))
+            for e in got.events] == [(e.kind, e.index, np.float64(e.gamma).view(np.uint64),
+                                      np.float64(e.ell).view(np.uint64)) for e in expected.events]
+    assert (got.parametrization, got.feature_names, got.truncated) == (
+        expected.parametrization, expected.feature_names, expected.truncated)
+
+
+def vertex_path(vertices):
+    return lp.PiecewiseLinearPath(breakpoints=np.arange(float(len(vertices))), vertices=vertices,
+                                  segment_active_sets=[()] * (len(vertices) - 1),
+                                  parametrization="l1_norm")
+
+
+# Rewrites of a path file: other JSON layouts of the same document, a first
+# 0.0 vertex entry or row bracket spelled another way, and broken files.
+LAYOUT_EDITS = {
+    "compact": lambda text: json.dumps(json.loads(text)),
+    "indent_2": lambda text: json.dumps(json.loads(text), sort_keys=True, indent=2),
+    "vertices_not_last": lambda text: json.dumps({**json.loads(text), "zeta": 1},
+                                                 sort_keys=True, indent=1),
+    "entry_0.00": lambda text: edit_vertices(text, "\n   0.0,\n", "\n   0.00,\n"),
+    "entry_0e0": lambda text: edit_vertices(text, "\n   0.0,\n", "\n   0e0,\n"),
+    "entry_1_0": lambda text: edit_vertices(text, "\n   0.0,\n", "\n   1_0,\n"),
+    "entry_int_0": lambda text: edit_vertices(text, "\n   0.0,\n", "\n   0,\n"),
+    "entry_spaced": lambda text: edit_vertices(text, "\n   0.0,\n", "\n   0.0 ,\n"),
+    "entry_list": lambda text: edit_vertices(text, "\n   0.0,\n", "\n   [0.0],\n"),
+    "entry_object": lambda text: edit_vertices(text, "\n   0.0,\n", '\n   {"a": 1},\n'),
+    "entry_indent_2": lambda text: edit_vertices(text, "\n   0.0,\n", "\n  10.5,\n"),
+    "entry_no_comma": lambda text: edit_vertices(text, "\n   0.0,\n", "\n   1.25\n"),
+    "row_brace": lambda text: edit_vertices(text, "\n  ],\n  [\n", "\n  ],\n  {\n"),
+    "rows_no_comma": lambda text: edit_vertices(text, "\n  ],\n  [\n", "\n  ]\n  [\n"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "header_crlf": lambda text: text.replace("\n", "\r\n", 3),
+    "no_header": lambda text: "{" + text[text.index(',\n "vertices": '):],
+    "truncated": lambda text: text[:len(text) // 2],
+    "no_last_newline": lambda text: text[:-1],
+    "trailing_x": lambda text: text + "x",
+    "trailing_newline": lambda text: text + "\n",
+}
+
+
+def edit_vertices(text, old, new):
+    """``text`` with the first ``old`` after the "vertices" key replaced by ``new``."""
+    at = text.index('"vertices": ')
+    assert old in text[at:]
+    return text[:at] + text[at:].replace(old, new, 1)
+
+
+class TestPathJsonReader:
+    """read_path_json gives what json.loads of the whole file gives, bit for
+    bit, or its error; write_path_json's files take the route that parses
+    only the entries that are not 0.0."""
+
+    def write(self, path, target, metadata=None):
+        pio.write_path_json(path, target, metadata)
+        assert pio._writer_layout_doc(target.read_bytes()) is not None
+        return target
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(vertices=sparse_vertices())
+    def test_sparse_vertex_matrices(self, vertices, tmp_path):
+        assert_reads_as_json_loads(self.write(vertex_path(vertices), tmp_path / "p.json"))
+
+    @pytest.mark.parametrize("entry", SPECIAL_ENTRIES, ids=repr)
+    def test_special_entries(self, entry, tmp_path):
+        vertices = np.zeros((3, 6))
+        vertices[1, [0, 3, 5]] = entry
+        assert_reads_as_json_loads(self.write(vertex_path(vertices), tmp_path / "p.json"))
+
+    @pytest.mark.parametrize("mode", ["lar", "lasso", "fs0"])
+    def test_block_paths(self, mode, tmp_path):
+        data = lp.gen_block(n=30, p=100, seed=0)[0]
+        path = solve_path(lp.standardize(data).expanded(), SolverConfig(mode=mode))
+        target = self.write(path, tmp_path / "p.json", {"method": mode, "nested": {"a": [0.0]}})
+        assert_reads_as_json_loads(target)
+        assert np.array_equal(pio.read_path_json(target).vertices, path.vertices)
+
+    @pytest.mark.parametrize("edit", LAYOUT_EDITS.values(), ids=LAYOUT_EDITS.keys())
+    def test_other_layouts(self, edit, tmp_path):
+        _, path = solved_path()
+        text = self.write(path, tmp_path / "p.json", {"method": "lasso"}).read_text()
+        target = tmp_path / "edited.json"
+        target.write_text(edit(text), newline="")
+        assert target.read_bytes() != text.encode()
+        assert_reads_as_json_loads(target)
+
+    def test_bytes_that_are_not_ascii_are_read_as_text(self, tmp_path):
+        """A raw UTF-8 feature name is decoded as ``read_text`` decodes it:
+        under the test's locale, and under an ASCII locale encoding, where
+        it does not decode."""
+        data = gen_sine(n=40, seed=1)
+        names = ["gr\u00fc\u00dfe", *[f"x{j}" for j in range(1, data.p)]]
+        design = lp.standardize(lp.Dataset(X=data.X, y=data.y, feature_names=names))
+        target = self.write(solve_path(design.expanded()), tmp_path / "p.json")
+        target.write_bytes(target.read_bytes().replace(b"gr\\u00fc\\u00dfe", names[0].encode()))
+        assert pio._writer_layout_doc(target.read_bytes()) is None
+        assert_reads_as_json_loads(target)
+        src = str(Path(lp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        code = ("import sys, l1paths.io as pio\n"
+                "try:\n    pio.read_path_json(sys.argv[1])\n"
+                "except UnicodeDecodeError as exc:\n    print(exc.encoding)\n")
+        out = subprocess.run([sys.executable, "-c", code, str(target)], env=env,
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "ascii"
+
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0), (1, 2)],
+                             ids=["no_vertices", "no_coordinates", "one_zero_vertex"])
+    def test_small_matrices(self, shape, tmp_path):
+        target = tmp_path / "p.json"
+        pio.write_path_json(vertex_path(np.zeros(shape)), target)
+        assert_reads_as_json_loads(target)
 
 class TestCsvMatchesMemory:
     """A dataset read from CSV gives the same path as the data it was written from."""
