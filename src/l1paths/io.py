@@ -60,9 +60,15 @@ def _csv_text(source) -> str:
 
 
 def _rows(text: str) -> list[tuple[int, list[str]]]:
-    """The non-blank rows of CSV text, each with the number of its (last) line."""
+    """The non-blank rows of CSV text, each with the number of its (last) line.
+
+    What the csv module refuses (a field over its size limit) is a
+    ``DataError`` that names the line."""
     reader = csv.reader(text.splitlines())
-    return [(reader.line_num, row) for row in reader if row]
+    try:
+        return [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
 
 
 def _plain_rows(text: str) -> list[tuple[int, list[str]]] | None:
@@ -80,7 +86,8 @@ def read_dataset_csv(source, response=None) -> Dataset:
 
     The last column is the response unless ``response`` names (or
     0-based-indexes) another. A first row that does not parse as numbers
-    is a header. An error names the line of the file it is on.
+    is a header, and it must have as many fields as the first data row. An
+    error names the line of the file it is on.
 
     A file without quotes is split at its commas, and when every data line
     has the first one's field count all cells are cast to float in one
@@ -100,11 +107,13 @@ def read_dataset_csv(source, response=None) -> Dataset:
     except ValueError:
         header = True
     if header:
-        names = [v.strip() for v in rows[0][1]]
+        line, names = rows[0][0], [v.strip() for v in rows[0][1]]
         rows = rows[1:]
         if not rows:
             raise DataError("CSV has a header but no data rows")
     width = len(rows[0][1])
+    if names is not None and len(names) != width:
+        raise DataError(f"line {line}: header has {len(names)} fields, data has {width}")
     data = None
     if plain is not None and all(len(row) == width for _, row in rows):
         try:

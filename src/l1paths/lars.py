@@ -29,8 +29,8 @@ from X (two n x p products) elsewhere.
 A segment costs a few dozen numpy calls on small designs, so the engine
 keeps that count down: the event scan reads the columns it may consider
 from a mask that ``solve_path`` updates as columns join, are barred or
-leave, its scalar decisions are on Python floats, and a join appends one
-row to the active set's factor in place. The path returns at its final
+leave, its scalar decisions are on Python floats, and a join borders the
+active set's factor with one row. The path returns at its final
 vertex before any join bookkeeping, so the zero-residual join of a p > n
 path, where every remaining column ties, gathers and appends nothing.
 """

@@ -2,29 +2,30 @@
 
 One factor serves every solve: ``CholeskyFactor`` keeps only the inverse
 factor T = L^-1 of the Cholesky factor L of G (L L^T = G), for columns
-that join one at a time. An append is one matvec with T plus a new row
-of T, written into a buffer with room to grow that the factors of one
-growing column sequence share (``_Rows``), with its pivot arithmetic on
-Python floats; the Gram solve is two matvecs with T.
-Vector products use ``ndarray.dot``, the same BLAS call as ``@`` without
-the ufunc dispatch that costs about a microsecond at these sizes. A drop
-keeps the rows of T before the dropped position and updates the rows
-after it in closed form: removing a column turns the trailing block of
-L into L33 K with K K^T = I + a a^T, so their rows of T are multiplied
-by K^-1, which is a diagonal less a strictly lower rank-one part and is
-applied with two cumulative sums and no LAPACK call (Gill, Golub, Murray
-& Saunders 1974). Several drops run one at a time, highest position
-first. The update keeps the absolute rounding of the rows it updates, so
-when they shrink by more than ``DROP_SHRINK_MAX`` (the dropped column was
-near the span of the others and its successors' rows carried its small
-pivot) the rows after the first dropped position are refactored from
-their Schur complement instead, from the kept Gram block that the
-caller supplies. Lawson-Hanson non-negative least squares runs on such a
-factor and can continue from the one its last call left. One relative
-pivot rule, ``_independent`` with ``PIVOT_RTOL``, makes every rank
-decision: an append raises, NNLS skips the column. Forming G squares
-the condition number of A. Factors are immutable; update operations
-return new factors.
+that join one at a time. Every factor owns its T, a C-contiguous array.
+An append is one matvec with T plus a new row of T, with its pivot
+arithmetic on Python floats, written with a copy of T into a new array;
+the Gram solve is two matvecs with T. Vector products use
+``ndarray.dot``: on a one-segment array it makes the same BLAS call as
+``@`` without the ufunc dispatch that costs about a microsecond at these
+sizes, but it copies a strided view before that call, so T is never a
+view. A drop keeps the rows of T before the dropped position and updates
+the rows after it in closed form: removing a column turns the trailing
+block of L into L33 K with K K^T = I + a a^T, so their rows of T are
+multiplied by K^-1, which is a diagonal less a strictly lower rank-one
+part and is applied with two cumulative sums and no LAPACK call (Gill,
+Golub, Murray & Saunders 1974). Several drops run one at a time, highest
+position first. The update keeps the absolute rounding of the rows it
+updates, so when they shrink by more than ``DROP_SHRINK_MAX`` (the
+dropped column was near the span of the others and its successors' rows
+carried its small pivot) the rows after the first dropped position are
+refactored from their Schur complement instead, from the kept Gram block
+that the caller supplies. Lawson-Hanson non-negative least squares runs
+on such a factor and can continue from the one its last call left. One
+relative pivot rule, ``_independent`` with ``PIVOT_RTOL``, makes every
+rank decision: an append raises, NNLS skips the column. Forming G
+squares the condition number of A. Factors are immutable; update
+operations return new factors.
 """
 
 from __future__ import annotations
@@ -61,32 +62,6 @@ def _independent(d2, max_diag):
     Takes floats or arrays. A NaN ``d2`` fails both comparisons, +inf the
     second and -inf the first."""
     return (d2 > PIVOT_RTOL * max_diag) & (d2 < math.inf)
-
-
-# Appends that fit in a new factor buffer beyond the one that made it. fs0
-# on wide designs drops a column about every segment and each drop starts
-# a new buffer, so more room is zeroed for nothing: on the 60 x 1000 block
-# design, buffers of doubling size made an fs0 segment about 15% slower.
-_ROOM = 8
-
-
-class _Rows:
-    """A square buffer of T that factors grown one column at a time share.
-
-    A factor of size k is the leading k by k block of T. Only the factor
-    of size ``size`` writes the next row; any other factor on the buffer
-    copies it before it appends, so a factor's block never changes.
-    """
-
-    __slots__ = ("T", "view", "size")
-
-    def __init__(self, T: np.ndarray):
-        k = T.shape[0]
-        capacity = k + 1 + _ROOM
-        self.T = np.zeros((capacity, capacity))
-        self.T[:k, :k] = T
-        self.view = _frozen(self.T.view())  # read-only; the factors hold its blocks
-        self.size = k
 
 
 def _frozen(M):
@@ -129,20 +104,20 @@ class CholeskyFactor:
     """The inverse T = L^-1 of a lower-triangular L with L @ L.T equal to a Gram block.
 
     The factor tracks the largest Gram diagonal it has seen, so that the
-    rank check stays relative to the scale of the problem. An append
-    writes one row of T into a buffer with room to grow (``_Rows``); a
-    drop updates the rows of T after the dropped position in closed form
+    rank check stays relative to the scale of the problem. Every factor
+    owns its T, C-contiguous and read-only. An append copies T into the
+    leading block of a new array and writes one row; a drop updates the
+    rows of T after the dropped position in closed form
     (``_drop_position``), or refactors them from the Gram when the update
     would lose accuracy.
     """
 
-    __slots__ = ("_T", "_max_diag", "_rows")
+    __slots__ = ("_T", "_max_diag")
 
-    def __init__(self, T: np.ndarray, max_diag: float, rows: _Rows | None = None):
-        """T is read-only; ``rows`` holds it when an append made it."""
+    def __init__(self, T: np.ndarray, max_diag: float):
+        """T is C-contiguous and read-only."""
         self._T = T
         self._max_diag = float(max_diag)
-        self._rows = rows
 
     @classmethod
     def empty(cls) -> "CholeskyFactor":
@@ -188,14 +163,12 @@ class CholeskyFactor:
         if not _independent(d2, max_diag):
             raise DegenerateDesignError(column=k)
         pivot = math.sqrt(d2)
-        rows = self._rows
-        if rows is None or rows.size != k or k == rows.T.shape[0]:
-            rows = _Rows(self._T)
-        T = rows.T
+        T = np.empty((k + 1, k + 1))
+        T[:k, :k] = self._T
+        T[:k, k] = 0.0
         T[k, :k] = w.dot(self._T) / -pivot
         T[k, k] = 1.0 / pivot
-        rows.size = k = k + 1
-        return CholeskyFactor(rows.view[:k, :k], max_diag, rows)
+        return CholeskyFactor(_frozen(T), max_diag)
 
     def drop_column(self, index: int, gram) -> "CholeskyFactor":
         """Return the factor of the Gram with one variable removed."""

@@ -100,6 +100,37 @@ class TestDatasetCsv:
         target.write_text("\ufeffcoordinate,value\n0,1.5\n1,-2\n", encoding="utf-8")
         np.testing.assert_array_equal(pio.read_vector_csv(target), [1.5, -2.0])
 
+    @pytest.mark.parametrize("header", ["a,y", '"a",y', "a,b,c,y", '"a",b,c,y'])
+    @pytest.mark.parametrize("response", [None, 0, "a"])
+    def test_header_width_differs_from_data(self, header, response, tmp_path):
+        """A header names every column or the file is refused, on the split
+        route and, for a quoted header, on the csv module's."""
+        target = tmp_path / "d.csv"
+        target.write_text(header + "\n1,2,3\n4,5,6\n7,8,10\n")
+        fields = header.count(",") + 1
+        with pytest.raises(lp.DataError, match=f"^line 1: header has {fields} fields, data has 3$"):
+            pio.read_dataset_csv(target, response)
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_over_csv_limit_names_its_line(self, quote, line, tmp_path):
+        limit = csv.field_size_limit()
+        rows = ["1,2,3", "4,5,6", "7,8,10"]
+        rows[line - 1] = f"1,{quote}{'7' * (limit + 1)}{quote},3"
+        target = tmp_path / "long.csv"
+        target.write_text("\n".join(rows) + "\n")
+        with pytest.raises(lp.DataError,
+                           match=rf"^line {line}: field larger than field limit \({limit}\)$"):
+            pio.read_dataset_csv(target)
+
+    def test_vector_field_over_csv_limit_names_its_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        target = tmp_path / "beta.csv"
+        target.write_text(f"coordinate,value\n0,1.5\n1,{'2' * (limit + 1)}\n")
+        with pytest.raises(lp.DataError,
+                           match=rf"^line 3: field larger than field limit \({limit}\)$"):
+            pio.read_vector_csv(target)
+
 
 def row_by_row_dataset(text, response=None):
     """read_dataset_csv as one csv.reader pass and one float() per cell: the
@@ -112,11 +143,13 @@ def row_by_row_dataset(text, response=None):
     try:
         [float(v) for v in rows[0][1]]
     except ValueError:
-        names = [v.strip() for v in rows[0][1]]
+        line, names = rows[0][0], [v.strip() for v in rows[0][1]]
         rows = rows[1:]
         if not rows:
             raise lp.DataError("CSV has a header but no data rows")
     width = len(rows[0][1])
+    if names is not None and len(names) != width:
+        raise lp.DataError(f"line {line}: header has {len(names)} fields, data has {width}")
     data = np.empty((len(rows), width))
     for i, (line, row) in enumerate(rows):
         if len(row) != width:
@@ -187,7 +220,7 @@ class TestCsvReaderRoutes:
             try:
                 outcomes.append(read(target if read is pio.read_dataset_csv
                                      else target.read_text(encoding="utf-8-sig"), response))
-            except Exception as exc:  # a header narrower than the data raises IndexError
+            except Exception as exc:
                 outcomes.append((type(exc), str(exc)))
         got, expected = outcomes
         if isinstance(expected, tuple):
@@ -1079,6 +1112,19 @@ class TestCli:
         code, _, err = self.run(capsys, "solve", "--input", str(csv), "--method", method)
         assert code == 3
         assert err == "error: cannot standardize the response: its sum of squares over- or underflows\n"
+
+    @pytest.mark.parametrize("content, message", [
+        ("a,y\n1,2,3\n4,5,6\n7,8,10\n", "line 1: header has 2 fields, data has 3"),
+        ('"a",y\n1,2,3\n4,5,6\n7,8,10\n', "line 1: header has 2 fields, data has 3"),
+        ("1," + "7" * (csv.field_size_limit() + 1) + ",3\n4,5,6\n7,8,10\n",
+         f"line 1: field larger than field limit ({csv.field_size_limit()})"),
+    ], ids=["narrow_header", "narrow_quoted_header", "long_field"])
+    @pytest.mark.parametrize("response", [[], ["--response-col", "0"]], ids=["last", "col0"])
+    def test_solve_refuses_malformed_csv(self, content, message, response, tmp_path, capsys):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(content)
+        code, _, err = self.run(capsys, "solve", "--input", str(csv_path), *response)
+        assert (code, err) == (3, f"error: {message}\n")
 
     def test_certify_rejects_signed_path(self, sine_csv, tmp_path, capsys):
         out = tmp_path / "lar.json"

@@ -362,3 +362,76 @@ def test_drops_keep_an_exact_factor(problem):
     expected = np.linalg.solve(G_kept, rhs)
     bound = 1e-15 * np.linalg.cond(G_kept) * np.max(np.abs(expected))
     assert np.max(np.abs(dropped.solve_gram(rhs) - expected)) <= bound
+
+
+def _near_dependent_gram():
+    """A Gram whose column 2 is within 1e-5 of the span of columns 0 and 1,
+    so that dropping it refactors the rows after it."""
+    rng = rng_for(951)
+    A = rng.standard_normal((20, 5))
+    A[:, 2] = A[:, 0] + A[:, 1] + 1e-5 * rng.standard_normal(20)
+    return A.T @ A
+
+
+class TestFactorLayout:
+    """Every factor owns its T: C-contiguous, read-only and never written after."""
+
+    @staticmethod
+    def _gram(seed=12, k=8):
+        A = rng_for(seed).standard_normal((k + 40, k))
+        return A.T @ A
+
+    def _made_by(self, how):
+        if how == "empty":
+            return CholeskyFactor.empty()
+        if how == "from_gram":
+            return CholeskyFactor.from_gram(self._gram())
+        if how == "append_column":
+            G = self._gram()
+            return CholeskyFactor.from_gram(G[:7, :7]).append_column(G[:, 7])
+        G = _near_dependent_gram() if how == "refactor" else self._gram()
+        asked = []
+
+        def gram(rows, cols):
+            asked.append(rows)
+            return _by_position(G)(rows, cols)
+
+        factor = CholeskyFactor.from_gram(G).drop_columns([2], gram)
+        assert bool(asked) == (how == "refactor")
+        return factor
+
+    @pytest.mark.parametrize("how", ["empty", "from_gram", "append_column", "closed_form_drop",
+                                     "refactor"])
+    def test_T_is_contiguous_and_read_only(self, how):
+        T = self._made_by(how).T
+        assert T.flags.c_contiguous and T.flags.owndata
+        assert not T.flags.writeable
+
+    def test_appends_to_one_parent_change_no_factor(self):
+        """Two appends to one factor, and an append to each child, leave
+        the T of every factor as it was made."""
+        G = self._gram(k=6)
+        parent = CholeskyFactor.from_gram(G[:4, :4])
+        before = parent.T.copy()
+        a = parent.append_column(G[[0, 1, 2, 3, 4], 4])
+        a_T = a.T.copy()
+        b = parent.append_column(G[[0, 1, 2, 3, 5], 5])
+        b_T = b.T.copy()
+        a.append_column(G[:6, 5])
+        b.append_column(G[[0, 1, 2, 3, 5, 4], 4])
+        np.testing.assert_array_equal(parent.T, before)
+        np.testing.assert_array_equal(a.T, a_T)
+        np.testing.assert_array_equal(b.T, b_T)
+        assert not np.array_equal(a_T, b_T)
+        assert not np.shares_memory(a.T, b.T)
+        np.testing.assert_array_equal(a_T[:4, :4], before)
+        np.testing.assert_array_equal(b_T[:4, :4], before)
+
+    @pytest.mark.parametrize("k", [1, 5, 60, 119])
+    def test_solve_gram_is_two_products_with_T(self, k):
+        G = self._gram(seed=k, k=k)
+        factor = CholeskyFactor.from_gram(G)
+        rhs = rng_for(k + 1).standard_normal(k)
+        T = factor.T
+        assert np.array_equal(factor.solve_gram(rhs).view(np.uint64),
+                              (T.T @ (T @ rhs)).view(np.uint64))
