@@ -144,28 +144,33 @@ def standardize(data: Dataset, center_response: bool = True) -> StandardizedDesi
     """Standardize the columns of a dataset to mean zero, variance one.
 
     Raises ZeroVarianceError naming the first constant column (see
-    ZERO_VARIANCE_RTOL), and DataError for a column whose standard
-    deviation over- or underflows in double precision, or for a nonzero
-    centered response whose sum of squares does: the solvers form it, and
-    a subnormal or infinite one silently cuts the path short. With
-    ``center_response=False`` the response is kept raw (for 0/1
-    responses used with a classification loss).
+    ZERO_VARIANCE_RTOL), and DataError for a column whose mean square
+    overflows or is subnormal in double precision (its standardized
+    column would be off), or for a nonzero centered response whose sum of
+    squares does: the solvers form it, and a subnormal or infinite one
+    silently cuts the path short. With ``center_response=False`` the
+    response is kept raw (for 0/1 responses used with a classification
+    loss).
     """
     X = data.X
-    bad = X.max(axis=0) - X.min(axis=0) <= ZERO_VARIANCE_RTOL * np.abs(X).max(axis=0)
-    if np.any(bad):
-        j = int(np.flatnonzero(bad)[0])
-        name = data.feature_names[j] if data.feature_names is not None else None
-        raise ZeroVarianceError(j, name)
-    centers = X.mean(axis=0)
-    Xc = X - centers
-    with np.errstate(over="ignore"):
-        scales = np.sqrt((Xc**2).mean(axis=0))
-    unscalable = ~(np.isfinite(scales) & (scales > 0))
+    # Near the double range the spread, the centers and the squares overflow
+    # (to inf, or nan where inf meets inf); such a column is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = X.max(axis=0) - X.min(axis=0) <= ZERO_VARIANCE_RTOL * np.abs(X).max(axis=0)
+        if np.any(bad):
+            j = int(np.flatnonzero(bad)[0])
+            name = data.feature_names[j] if data.feature_names is not None else None
+            raise ZeroVarianceError(j, name)
+        centers = X.mean(axis=0)
+        Xc = X - centers
+        mean_squares = (Xc**2).mean(axis=0)
+    # A subnormal mean square has lost digits, and Xs with them.
+    unscalable = ~((mean_squares >= np.finfo(float).tiny) & (mean_squares < np.inf))
     if np.any(unscalable):
         j = int(np.flatnonzero(unscalable)[0])
         label = data.feature_names[j] if data.feature_names is not None else f"column {j}"
         raise DataError(f"cannot standardize {label}: its variance over- or underflows")
+    scales = np.sqrt(mean_squares)
     # A mean that overflows is inf, or nan where partial sums overflow both ways.
     with np.errstate(over="ignore", invalid="ignore"):
         y_mean = float(data.y.mean()) if center_response else 0.0

@@ -37,7 +37,6 @@ class Curve:
     values: np.ndarray
     ell: np.ndarray
     index_by: str
-    label: str = ""
 
 
 @dataclass

@@ -388,7 +388,7 @@ def write_path_csv_original(
 
 
 def write_curve_csv(curve: Curve, target, method: str = "") -> None:
-    label = method or curve.label or "curve"
+    label = method or "curve"
     lines = ["index,value,method"]
     for i in range(len(curve.index)):
         lines.append(f"{fmt(curve.index[i])},{fmt(curve.values[i])},{label}")

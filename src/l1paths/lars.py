@@ -16,8 +16,10 @@ A segment ends at the first of: an inactive column catching up to the
 active correlation, an active coefficient hitting zero (lasso), or the
 residual reaching the unrestricted least-squares fit.
 
-Along a segment every correlation is linear in the step and the squared
-residual norm quadratic, so ``solve_path`` carries them from vertex to
+The engine, ``_segments``, yields the segments and ``solve_path`` records
+them. A yielded vertex is never written again, so the recorder keeps each
+without a copy. Along a segment every correlation is linear in the step and
+the squared residual norm quadratic, so the engine carries them from vertex to
 vertex (covariance updates) and forms the residual from the coefficients
 only every ``REFRESH_EVERY`` segments, near a stopping threshold, and at
 the end. Each such refresh checks the carried correlations against the
@@ -28,7 +30,7 @@ from X (two n x p products) elsewhere.
 
 A segment costs a few dozen numpy calls on small designs, so the engine
 keeps that count down: the event scan reads the columns it may consider
-from a mask that ``solve_path`` updates as columns join, are barred or
+from a mask that the engine updates as columns join, are barred or
 leave, its scalar decisions are on Python floats, and a join borders the
 active set's factor with one row. The path returns at its final
 vertex before any join bookkeeping, so the zero-residual join of a p > n
@@ -333,6 +335,28 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     design = _as_expanded(design)
     cfg = config or SolverConfig()
     cfg.validate()
+    rec = _PathRecorder(np.zeros(design.p2), "l1_arc_length" if cfg.mode == "fs0" else "l1_norm",
+                        design.base.feature_names)
+    try:
+        for ell, beta, support, event, _, _, _ in _segments(design, cfg):
+            rec.append(ell, beta, support, event)
+    except StepBudgetError as err:
+        err.path = rec.build(truncated=True)
+        raise
+    return rec.build()
+
+
+def _segments(design: ExpandedDesign, cfg: SolverConfig):
+    """Trace the exact path of a validated ``cfg`` from zero, one segment at a time.
+
+    Yields ``(ell, beta, support, event, C, Delta, refresh_gap)`` per segment:
+    the parameter and mirrored coefficients at its end, the indices that move
+    along it (in join order), the ``PathEvent`` that ended it, the maximal
+    correlation C at its start and the rate Delta at which C decays along it,
+    and the largest gap between the carried and the exact correlations if it
+    ended in an exact refresh (else None). A yielded ``beta`` is never written
+    again. Raises StepBudgetError, without a path, when the step budget runs out.
+    """
     mode, stop_norm, stop_lambda = cfg.mode, cfg.stop_l1_norm, cfg.stop_lambda
     p, p2 = design.p, design.p2
     y = design.base.y_centered
@@ -348,14 +372,10 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
     r_floor = RESIDUAL_FLOOR * y_norm
     drift_tol = DRIFT_RTOL * C
 
-    rec = _PathRecorder(
-        beta, "l1_arc_length" if mode == "fs0" else "l1_norm", design.base.feature_names
-    )
-
     if C <= floor or y_norm <= r_floor:  # the residual is still y
-        return rec.build()
+        return
     if stop_norm is not None and stop_norm <= 0:
-        return rec.build()
+        return
 
     barred = np.zeros(p2, dtype=bool)  # columns collinear with the active set
     # The event scan skips the active and barred columns and the mirrors of
@@ -409,9 +429,9 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
             scannable[active] = False
 
         if stop_norm is not None and ell >= stop_norm:
-            return rec.build()
+            return
         if stop_lambda is not None and C <= stop_lambda:
-            return rec.build()
+            return
         # Direction on the current active set.
         if mode == "fs0":
             direction, factor, passive = _nnls_direction(
@@ -436,12 +456,13 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
         )
         index = indices[0] if indices else None
 
-        # A coefficient already at zero with an inward direction: drop it
-        # and recompute without emitting a zero-length segment.
+        # A coefficient already at zero with an inward direction: drop it, in
+        # a copy of the vertex, and recompute without a zero-length segment.
         if kind == EVENT_DROP and gamma <= MIN_STEP_RTOL * (C / Delta):
             instant_drops += 1
             if instant_drops > p2:
                 raise InternalConsistencyError("drop events are not making progress")
+            beta = beta.copy()
             beta[index] = 0.0
             continue
         instant_drops = 0
@@ -471,10 +492,10 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
             # Exact refresh, where the carried correlations must agree.
             r = y - design.predict(beta)
             c = design.correlations(r)
-            worst = float(np.max(np.abs(c - c_carried)))
-            if worst > drift_tol:
+            gap = float(np.max(np.abs(c - c_carried)))
+            if gap > drift_tol:
                 raise InternalConsistencyError(
-                    f"carried correlations drifted by {worst:.3e} from the exact ones"
+                    f"carried correlations drifted by {gap:.3e} from the exact ones"
                 )
             C_new = float(c[c.argmax()])
             r2 = float(r.dot(r))
@@ -482,22 +503,21 @@ def solve_path(design, config: SolverConfig | None = None) -> PiecewiseLinearPat
             since_refresh = 0
         else:
             c = c_carried
+            gap = None
         expected = C - gamma * Delta
         if abs(C_new - expected) > drift_tol:
             raise InternalConsistencyError(
                 f"correlation ties broke down: max {C_new:.3e}, expected {expected:.3e}"
             )
+        event = PathEvent(kind=kind, index=index, gamma=gamma, ell=ell)
+        yield ell, beta, support, event, C, Delta, gap
         C = C_new
-
-        rec.append(ell, beta, support, PathEvent(kind=kind, index=index, gamma=gamma, ell=ell))
 
         # The path ends here, before any membership update.
         if final or C <= floor or r_norm <= r_floor:
-            return rec.build()
+            return
 
-    raise StepBudgetError(
-        f"path did not terminate within {max_steps} steps", path=rec.build(truncated=True)
-    )
+    raise StepBudgetError(f"path did not terminate within {max_steps} steps")
 
 
 @dataclass

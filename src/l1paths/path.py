@@ -122,13 +122,14 @@ class PiecewiseLinearPath:
 class _PathRecorder:
     """Collects a path's vertices, breakpoints, segment active sets and events.
 
-    The exact engine ``append``s every segment; the Euler integrator
+    ``solve_path`` ``append``s every exact segment; the Euler integrator
     ``advance``s, which skips a vertex at the parameter already recorded.
+    Each vertex is kept without a copy: the caller never writes to it again.
     """
 
     def __init__(self, beta, parametrization: str, feature_names=None):
         self.params = [0]
-        self.vertices = [np.array(beta, dtype=float)]
+        self.vertices = [beta]
         self.active_sets: list[tuple[int, ...]] = []
         self.events: list[PathEvent] = []
         self.parametrization = parametrization
@@ -136,7 +137,7 @@ class _PathRecorder:
 
     def append(self, param, beta, active_set=(), event: PathEvent | None = None):
         self.params.append(param)
-        self.vertices.append(np.array(beta, dtype=float))
+        self.vertices.append(beta)
         self.active_sets.append(active_set)
         if event is not None:
             self.events.append(event)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,34 @@ class TestStandardize:
         X = np.column_stack([np.arange(20.0), value * (1.0 + np.arange(20.0))])
         with pytest.raises(DataError, match="column 1: its variance over- or underflows"):
             standardize(Dataset(X=X, y=np.zeros(20)))
+
+    def test_column_scaled_by_power_of_two(self):
+        """Scaling one X column by 2^k, for every k that keeps it finite,
+        gives the unscaled design's Xs bit for bit, or DataError with no
+        warning. A column whose mean square is subnormal is refused, as its
+        squares have lost digits, and so is one whose spread, center or mean
+        square overflows (at k = 1022)."""
+        rng = rng_for(0)
+        X, y = rng.standard_normal((30, 8)), rng.standard_normal(30)
+        plain = standardize(Dataset(X=X, y=y)).Xs
+        accepted = []
+        for k in range(-1074, 1024):
+            with np.errstate(over="ignore"):
+                column = np.ldexp(X[:, 3], k)
+            if not np.isfinite(column).all():
+                continue
+            scaled = X.copy()
+            scaled[:, 3] = column
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    Xs = standardize(Dataset(X=scaled, y=y)).Xs
+                except DataError as err:
+                    assert str(err).startswith("cannot standardize column 3: "), k
+                    continue
+            assert np.array_equal(Xs, plain), k
+            accepted.append(k)
+        assert accepted == list(range(-511, 510))
 
     @pytest.mark.parametrize("y", [
         np.ldexp(np.arange(20.0), 600),  # the sum of squares overflows

@@ -823,6 +823,29 @@ class TestCli:
         vals = [float(l.split(",")[1]) for l in lines[1:]]
         assert vals[0] > vals[-1]
 
+    @pytest.mark.parametrize("kind, label", [
+        ("--rss", []), ("--rss", ["--method-label", "lasso-b"]),
+        ("--mse", []), ("--mse", ["--method-label", "lasso-b"]),
+    ])
+    def test_diagnose_curve_method_column(self, kind, label, sine_csv, tmp_path, capsys):
+        """The curve CSV's method column is --method-label, or rss or mse."""
+        p = tmp_path / "p.json"
+        self.run(capsys, "solve", "--input", str(sine_csv), "--out", str(p))
+        curve = tmp_path / "c.csv"
+        holdout = ["--holdout", str(sine_csv)] if kind == "--mse" else []
+        code, _, _ = self.run(capsys, "diagnose", kind, "--input", str(sine_csv), "--path", str(p),
+                              *holdout, *label, "--out", str(curve))
+        assert code == 0
+        methods = {line.split(",")[2] for line in curve.read_text().splitlines()[1:]}
+        assert methods == {label[1] if label else kind[2:]}
+
+    def test_curve_csv_without_method(self, tmp_path):
+        curve = lp.Curve(index=np.array([0.0, 0.5]), values=np.array([2.0, 1.0]),
+                         ell=np.array([0.0, 1.0]), index_by="norm")
+        target = tmp_path / "c.csv"
+        pio.write_curve_csv(curve, target)
+        assert target.read_text() == "index,value,method\n0,2,curve\n0.5,1,curve\n"
+
     def test_config_file_merge_and_override(self, sine_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"method": "lar", "input": str(sine_csv)}))
@@ -1112,6 +1135,24 @@ class TestCli:
         code, _, err = self.run(capsys, "solve", "--input", str(csv), "--method", method)
         assert code == 3
         assert err == "error: cannot standardize the response: its sum of squares over- or underflows\n"
+
+    @pytest.mark.parametrize("column", ["subnormal", "huge"])
+    def test_solve_refuses_column_beyond_double_range(self, column, tmp_path, capsys):
+        """A column whose mean square is subnormal (x 2^-530) or overflows
+        (+-1e308) is a data error (exit 3) with one error line and no warning."""
+        data = gen_sine(seed=0)
+        X = data.X.copy()
+        if column == "subnormal":
+            X[:, 2] = np.ldexp(X[:, 2], -530)
+        else:
+            X[:, 2] = np.resize([1e308, -1e308], 300)
+        csv_path = tmp_path / "scaled.csv"
+        pio.write_dataset_csv(lp.Dataset(X=X, y=data.y, feature_names=data.feature_names),
+                              csv_path)
+        code, _, err = self.run(capsys, "solve", "--input", str(csv_path))
+        assert code == 3
+        assert err == (f"error: cannot standardize {data.feature_names[2]}: "
+                       "its variance over- or underflows\n")
 
     @pytest.mark.parametrize("content, message", [
         ("a,y\n1,2,3\n4,5,6\n7,8,10\n", "line 1: header has 2 fields, data has 3"),

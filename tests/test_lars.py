@@ -724,3 +724,139 @@ class TestBatchedJoin:
         assert path.events[-1].kind == "join" and len(recorded) == path.n_segments
         assert gathered_at and max(gathered_at) < path.n_segments
         assert appended_at and max(appended_at) < path.n_segments
+
+
+def _tall_gaussian():
+    X = rng_for(16).standard_normal((600, 120))
+    return standardize(lp.Dataset(X=X, y=X[:, :12] @ rng_for(17).standard_normal(12)
+                                  + 2.0 * rng_for(18).standard_normal(600)))
+
+
+def _late_tie_against_the_direction(seed=1, n=40, t=0.3):
+    """Three columns where two catch up with the first at one step, exactly
+    to rounding, and the lasso direction on all three is negative on one
+    catcher: y is chosen so that X^T y puts both catch-ups at t C / n. The
+    lasso then drops that catcher at once, from the vertex it just reached."""
+    rng = rng_for(seed)
+    mix = rng.standard_normal((3, 3))
+    X = rng.standard_normal((n, 3)) @ mix
+    Xs = standardize(lp.Dataset(X=X, y=np.zeros(n))).Xs
+    G = Xs.T @ Xs
+    c0 = float(n) - t * (n - G[:, 0])
+    return standardize(lp.Dataset(X=X, y=Xs @ np.linalg.solve(G, c0)))
+
+
+SEGMENT_CLASSES = {
+    "acceptance": lambda: [gaussian_instance(20, 5, seed=s, correlated=s % 2 == 1)
+                           for s in range(50)],
+    "block": lambda: [standardize(lp.gen_block(seed=5)[0])],
+    "tall": lambda: [_tall_gaussian()],
+    "sine": lambda: [standardize(gen_sine(seed=0)),
+                     standardize(gen_sine(basis="piecewise-constant", seed=0))],
+    "p_gt_n": lambda: [standardize(lp.gen_block(n=20, p=60, seed=0)[0]),
+                       standardize(lp.gen_block(n=30, p=100, seed=1)[0]),
+                       gaussian_instance(10, 30, seed=3, correlated=True)],
+    "late_tie": lambda: [_late_tie_against_the_direction()],
+}
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+class TestSegmentStream:
+    """``lars._segments`` yields (ell, beta, support, event, C, Delta,
+    refresh_gap) per segment, and ``solve_path`` only records them."""
+
+    @staticmethod
+    def _drain(ed, cfg):
+        """The records up to the end of the stream, and the StepBudgetError
+        that ended it, if any."""
+        records = []
+        try:
+            for record in lp.lars._segments(ed, cfg):
+                records.append(record)
+        except StepBudgetError as err:
+            return records, err
+        return records, None
+
+    @staticmethod
+    def _assert_rebuilds(records, path):
+        assert _bits(path.breakpoints) == _bits([0.0] + [r[0] for r in records])
+        assert _bits(path.vertices) == _bits(
+            np.vstack([np.zeros(path.vertices.shape[1])] + [r[1] for r in records]))
+        assert path.segment_active_sets == [r[2] for r in records]
+        assert path.events == [r[3] for r in records]
+
+    @pytest.mark.parametrize("mode", ["lar", "lasso", "fs0"])
+    @pytest.mark.parametrize("name", sorted(SEGMENT_CLASSES))
+    def test_records_rebuild_the_path(self, name, mode):
+        """Bit for bit, for the full path and for a step budget that runs out
+        halfway, where the records rebuild the partial path."""
+        for design in SEGMENT_CLASSES[name]():
+            ed = design.expanded()
+            records, err = self._drain(ed, SolverConfig(mode=mode))
+            assert err is None
+            path = solve_path(ed, SolverConfig(mode=mode))
+            self._assert_rebuilds(records, path)
+            budget = SolverConfig(mode=mode, max_steps=max(1, len(records) // 2))
+            if len(records) <= budget.max_steps:
+                continue
+            records, err = self._drain(ed, budget)
+            assert err is not None and err.path is None
+            with pytest.raises(StepBudgetError) as raised:
+                solve_path(ed, budget)
+            assert str(raised.value) == str(err) and raised.value.path.truncated
+            self._assert_rebuilds(records, raised.value.path)
+
+    @pytest.mark.parametrize("mode", ["lar", "lasso", "fs0"])
+    @pytest.mark.parametrize("name", sorted(SEGMENT_CLASSES))
+    def test_yielded_vertices_are_never_written(self, name, mode):
+        """A consumer may keep each vertex as it arrives: the engine writes
+        none of them again, so read-only vertices raise nothing."""
+        for design in SEGMENT_CLASSES[name]():
+            for record in lp.lars._segments(design.expanded(), SolverConfig(mode=mode)):
+                record[1].flags.writeable = False
+
+    def test_late_tie_takes_the_instant_drop(self, monkeypatch):
+        """The late_tie class drops a coefficient at once from a vertex the
+        engine has yielded, the one branch that zeroes a coefficient after a
+        yield (into a copy, so the vertices above stay read-only)."""
+        instant = []
+        scan = lp.lars._scan_events
+
+        def counting(design, beta, r_floor, c, C, rho, *args):
+            gamma, kind, indices, d, Delta = out = scan(design, beta, r_floor, c, C, rho, *args)
+            if kind == "drop" and gamma <= lp.lars.MIN_STEP_RTOL * (C / Delta):
+                instant.append(beta.max())
+            return out
+
+        monkeypatch.setattr(lp.lars, "_scan_events", counting)
+        solve_path(_late_tie_against_the_direction(), SolverConfig(mode="lasso"))
+        assert len(instant) == 1 and instant[0] > 0.0  # not from the starting zero
+
+    @pytest.mark.parametrize("mode", ["lar", "lasso", "fs0"])
+    @pytest.mark.parametrize("name", sorted(SEGMENT_CLASSES))
+    def test_records_carry_correlations_and_refresh_gaps(self, name, mode):
+        """C is the maximal correlation at the segment's start, recomputed
+        from X, and decays at Delta to the next segment's C; each refresh gap
+        is small. All three to 1e-12 C0, far inside the drift guard's
+        DRIFT_RTOL. The last record carries a gap, and no REFRESH_EVERY
+        consecutive records lack one."""
+        for design in SEGMENT_CLASSES[name]():
+            ed = design.expanded()
+            y = design.y_centered
+            C0 = float(ed.correlations(y).max())
+            start, C_end = np.zeros(ed.p2), C0
+            since_gap = 0
+            records = list(lp.lars._segments(ed, SolverConfig(mode=mode)))
+            for ell, beta, support, event, C, Delta, gap in records:
+                exact = float(ed.correlations(y - ed.predict(start)).max())
+                assert abs(C - exact) <= 1e-12 * C0
+                assert abs(C - C_end) <= 1e-12 * C0
+                since_gap = 0 if gap is not None else since_gap + 1
+                assert since_gap < lp.lars.REFRESH_EVERY
+                assert gap is None or 0.0 <= gap <= 1e-12 * C0
+                start, C_end = beta, C - event.gamma * Delta
+            assert records and records[-1][6] is not None
